@@ -183,7 +183,7 @@ def cmd_gen(args, cfg: RunConfig) -> None:
 def cmd_simulate(args, cfg: RunConfig) -> None:
     frames = _read_fseq(args.input)
     x = log_diff_sequence(frames, _lum_config(cfg))
-    train_out = refsim.simulate(x, _refsim_config(cfg), workers=args.workers)
+    train_out = refsim.simulate(x, _refsim_config(cfg))
     _write_events(core.dense_to_sparse(train_out), args.out)
     _write_run_cfg(cfg, args.out, "simulate", args.workers)
 
@@ -193,11 +193,11 @@ def cmd_train(args, cfg: RunConfig) -> None:
     if not kinds:
         raise ConfigError("train.kinds is empty")
     scenes = [_scene_spec(cfg, kind=k, seed_offset=i) for i, k in enumerate(kinds)]
+    net_cfg, t_cfg = _net_config(cfg), _train_config(cfg)
     data = train_mod.make_dataset(scenes, _noise_model(cfg), _refsim_config(cfg),
                                   _lum_config(cfg))
     out_dir = Path(args.out)
-    net_cfg = _net_config(cfg)
-    params, history = train_mod.train(data, net_cfg, _train_config(cfg),
+    params, history = train_mod.train(data, net_cfg, t_cfg,
                                       checkpoint_dir=out_dir,
                                       verbose=args.verbose)
     spikenet.save_checkpoint(out_dir / "model.evsn", params, net_cfg)
@@ -245,7 +245,8 @@ def cmd_eval(args, cfg: RunConfig) -> None:
 
 def cmd_hist(args, cfg: RunConfig) -> None:
     e = _read_events(args.input)
-    hist = metrics.intensity_histogram(e, cfg["eval.bin_fps"], cfg["eval.buckets"])
+    hist = _wrap_config(lambda: metrics.intensity_histogram(
+        e, cfg["eval.bin_fps"], cfg["eval.buckets"]))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     lines = ["bucket,count"] + [f"{i},{c}" for i, c in enumerate(hist.tolist())]

@@ -26,8 +26,12 @@ EVENT_DTYPE = np.dtype([("t", "<u4"), ("x", "<u2"), ("y", "<u2"), ("p", "i1")])
 
 
 def tick_to_us(k, fps: float) -> np.ndarray:
-    """Map tick indices to integer microseconds."""
-    return np.rint(np.asarray(k, dtype=np.float64) * US_PER_S / fps).astype(np.uint32)
+    """Map tick indices to integer microseconds (u32, as stored in EVT1)."""
+    t = np.rint(np.asarray(k, dtype=np.float64) * US_PER_S / fps)
+    if not np.all((t >= 0) & (t <= np.iinfo(np.uint32).max)):
+        raise RangeError(f"tick timestamps at fps={fps} fall outside the u32 "
+                         "microsecond range [0, 2**32)")
+    return t.astype(np.uint32)
 
 
 def us_to_tick(t, fps: float) -> np.ndarray:

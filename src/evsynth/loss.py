@@ -87,11 +87,11 @@ def total_loss(e, s, cfg: LossConfig = LossConfig()) -> LossReport:
     ep, sp = _as_pixels(e), _as_pixels(s)
     if ep.shape != sp.shape:
         raise ShapeMismatchError(f"shapes {ep.shape} != {sp.shape}")
-    per_pixel = emd_polar(ep, sp) + cfg.count_weight * count_loss(ep, sp)
-    emd_mean = float(emd_polar(ep, sp).mean())
-    count_mean = float(count_loss(ep, sp).mean())
+    emd_px, count_px = emd_polar(ep, sp), count_loss(ep, sp)
+    emd_mean, count_mean = float(emd_px.mean()), float(count_px.mean())
     return LossReport(emd_mean, count_mean,
-                      emd_mean + cfg.count_weight * count_mean, per_pixel)
+                      emd_mean + cfg.count_weight * count_mean,
+                      emd_px + cfg.count_weight * count_px)
 
 
 def _emd_grad_forward(e, s):

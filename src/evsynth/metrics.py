@@ -48,6 +48,8 @@ def intensity_histogram(e: EventList, bin_fps: float = 60.0, buckets: int = 32,
     Bucket i counts pixel-bins holding exactly i events; the last bucket is an
     overflow for >= buckets-1, keeping the high-intensity tail visible.
     """
+    if buckets < 1:
+        raise ValueError("buckets must be >= 1")
     grid = voxelize(e, bin_fps, duration_us)
     counts = np.minimum(grid.unsigned.reshape(-1), buckets - 1)
     return np.bincount(counts, minlength=buckets).astype(np.int64)

@@ -7,13 +7,12 @@ consecutive spikes (the saturation effect).  Optional per-pixel threshold
 mismatch, randomized initial state, and leak/shot noise events model the
 remaining sensor non-idealities.
 
-All randomness is counter-based on (seed, y, x[, tick]), so row-partitioned
-workers produce bit-identical output.
+All randomness is counter-based on (seed, y, x[, tick]), so the output depends
+on nothing but the config and the input.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,14 +65,16 @@ def initial_state(cfg: RefSimConfig, theta_p: np.ndarray) -> np.ndarray:
     return (2.0 * u - 1.0) * theta_p
 
 
-def _simulate_rows(x: np.ndarray, fps: float, cfg: RefSimConfig, y0: int,
-                   theta_p: np.ndarray, v: np.ndarray,
-                   out: np.ndarray, v_final: np.ndarray) -> None:
+def _simulate_rows(x: np.ndarray, fps: float, cfg: RefSimConfig,
+                   theta_p: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Fold the sensor model over x (K, H, W); returns the (K, H, W) spikes
+    and leaves the final membrane potentials in v."""
     k, h, w = x.shape
-    ys = (np.arange(h, dtype=np.uint64) + np.uint64(y0))[:, None]
+    ys = np.arange(h, dtype=np.uint64)[:, None]
     xs = np.arange(w, dtype=np.uint64)[None, :]
     p_leak = cfg.leak_rate / fps
     p_shot = cfg.shot_rate / fps
+    out = np.empty((k, h, w), dtype=np.int8)
     for t in range(k):
         v += x[t]
         if p_leak > 0:
@@ -87,37 +88,20 @@ def _simulate_rows(x: np.ndarray, fps: float, cfg: RefSimConfig, y0: int,
         s = (v >= theta_p).astype(np.int8) - (v <= -theta_p).astype(np.int8)
         out[t] = s
         v -= s * theta_p
-    v_final[:] = v
+    return out
 
 
-def simulate(x: LogDiffSeq, cfg: RefSimConfig, workers: int = 1,
-             return_state: bool = False):
+def simulate(x: LogDiffSeq, cfg: RefSimConfig, return_state: bool = False):
     """Run the sensor model over a LogDiffSeq; returns a SpikeTrain.
 
     With return_state=True also returns the final membrane potentials
     (H, W) -- handy for the conservation identity theta*sum(S) + v = sum(X).
     """
-    k, h, w = x.data.shape
-    theta_p = pixel_thresholds(cfg, h, w)
-    v0 = initial_state(cfg, theta_p)
-    out = np.empty((k, h, w), dtype=np.int8)
-    v_final = np.empty((h, w), dtype=np.float64)
-    xdata = x.data.astype(np.float64)
-
-    if workers <= 1:
-        _simulate_rows(xdata, x.fps, cfg, 0, theta_p, v0.copy(), out, v_final)
-    else:
-        bounds = np.linspace(0, h, workers + 1, dtype=int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = [pool.submit(_simulate_rows, xdata[:, a:b], x.fps, cfg, a,
-                                theta_p[a:b], v0[a:b].copy(),
-                                out[:, a:b], v_final[a:b])
-                    for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-            for f in futs:
-                f.result()
-
+    theta_p = pixel_thresholds(cfg, x.height, x.width)
+    v = initial_state(cfg, theta_p)
+    out = _simulate_rows(x.data.astype(np.float64), x.fps, cfg, theta_p, v)
     train = SpikeTrain(x.width, x.height, x.fps, out)
-    return (train, v_final) if return_state else train
+    return (train, v) if return_state else train
 
 
 def naive_baseline(x: LogDiffSeq, theta: float) -> SpikeTrain:

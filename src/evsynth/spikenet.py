@@ -109,43 +109,36 @@ def init_params(cfg: SpikeNetConfig, seed: int = 0,
     return SpikeNetParams.from_tensors(tensors)
 
 
-def _im2col(x: np.ndarray, k: int) -> np.ndarray:
-    """(B, C, T) -> (B*T_out, C*k) patch matrix, T_out = T - k + 1."""
+def _im2col(x: np.ndarray, k: int, pad: int) -> np.ndarray:
+    """(B, C, T) zero-padded by pad per side -> (B*T_out, C*k) patch matrix,
+    T_out = T + 2*pad - k + 1.  The padded copy dies inside, so a caller that
+    consumes the patches at once never holds both."""
+    if pad:
+        x = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
     win = sliding_window_view(x, k, axis=2)             # (B, C, T_out, k)
     b, c, t_out, _ = win.shape
     return win.transpose(0, 2, 1, 3).reshape(b * t_out, c * k)
 
 
-def conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray,
-           pad: int | None = None) -> np.ndarray:
-    """Cross-correlate (B, Ci, T) with (Co, Ci, k); default 'same' padding."""
+def conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross-correlate (B, Ci, T) with (Co, Ci, k) under 'same' zero padding."""
     k = w.shape[2]
-    if pad is None:
-        pad = (k - 1) // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad))) if pad else x
-    col = _im2col(xp, k)
-    y = col @ w.reshape(w.shape[0], -1).T               # (B*T_out, Co)
-    t_out = xp.shape[2] - k + 1
-    return y.reshape(x.shape[0], t_out, -1).transpose(0, 2, 1) + b[None, :, None]
+    y = _im2col(x, k, (k - 1) // 2) @ w.reshape(w.shape[0], -1).T  # (B*T, Co)
+    return y.reshape(x.shape[0], x.shape[2], -1).transpose(0, 2, 1) + b[None, :, None]
 
 
-def conv1d_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray,
-                    pad: int | None = None):
-    """Gradients (dw, db, dx) of conv1d for upstream grad gy (B, Co, T_out)."""
+def conv1d_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray):
+    """Gradients (dw, db, dx) of conv1d for upstream grad gy (B, Co, T)."""
     k = w.shape[2]
-    if pad is None:
-        pad = (k - 1) // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad))) if pad else x
-    n_b, c_out, t_out = gy.shape
-    gmat = gy.transpose(1, 0, 2).reshape(c_out, n_b * t_out)
-    dw = (gmat @ _im2col(xp, k)).reshape(w.shape)
+    pad = (k - 1) // 2
+    n_b, c_out, t = gy.shape
+    gmat = gy.transpose(1, 0, 2).reshape(c_out, n_b * t)
+    dw = (gmat @ _im2col(x, k, pad)).reshape(w.shape)
     db = gy.sum(axis=(0, 2))
     # dx is the 'full' correlation of gy with the kernel flipped in time
-    gp = np.pad(gy, ((0, 0), (0, 0), (k - 1, k - 1)))
     wf = w[:, :, ::-1].transpose(0, 2, 1).reshape(c_out * k, -1)  # (Co*k, Ci)
-    dxp = (_im2col(gp, k) @ wf).reshape(n_b, xp.shape[2], -1).transpose(0, 2, 1)
-    dx = dxp[:, :, pad:pad + x.shape[2]] if pad else dxp
-    return dw, db, dx
+    dxp = (_im2col(gy, k, k - 1) @ wf).reshape(n_b, t + 2 * pad, -1).transpose(0, 2, 1)
+    return dw, db, dxp[:, :, pad:pad + t]
 
 
 @dataclass
@@ -171,6 +164,40 @@ def _as_batch(x) -> tuple[np.ndarray, bool]:
     return x, False
 
 
+def _relu(z: np.ndarray, keep: bool) -> np.ndarray:
+    """max(z, 0); in place unless z is kept for the backward pass."""
+    return np.maximum(z, 0) if keep else np.maximum(z, 0, out=z)
+
+
+def _conv_stack(x2d: np.ndarray, p: SpikeNetParams,
+                acts: dict[str, list[np.ndarray]] | None = None) -> np.ndarray:
+    """Logits (B, T) of the conv stack on input (B, T), 'same' padding.
+
+    With acts, a dict of lists keyed like ForwardCache's fields, the
+    activations backward() needs are appended to it.  Without it the ReLUs
+    run in place, so only h, r and the current conv output stay alive.
+    """
+    keep = acts is not None
+    z = conv1d(x2d[:, None, :], p.w_in, p.b_in)
+    h = _relu(z, keep)
+    if keep:
+        acts["z0"].append(z)
+        acts["hs"].append(h)
+    for blk in p.blocks:
+        z = conv1d(h, blk.w1, blk.b1)
+        r = _relu(z, keep)
+        if keep:
+            acts["z1s"].append(z)
+            acts["rs"].append(r)
+        z = conv1d(r, blk.w2, blk.b2)
+        z += h  # residual skip
+        h = _relu(z, keep)
+        if keep:
+            acts["s_pres"].append(z)
+            acts["hs"].append(h)
+    return conv1d(h, p.w_head, p.b_head)[:, 0, :]
+
+
 def forward(x, p: SpikeNetParams, cfg: SpikeNetConfig, v0=0.0,
             mode: str = "hard"):
     """Run the network; returns (spikes, cache).
@@ -185,25 +212,14 @@ def forward(x, p: SpikeNetParams, cfg: SpikeNetConfig, v0=0.0,
     if x2d.shape[1] < 1:
         raise ShapeError("input must have at least one timestep")
 
-    h = x2d[:, None, :]
-    z0 = conv1d(h, p.w_in, p.b_in)
-    hs = [np.maximum(z0, 0)]
-    z1s, rs, s_pres = [], [], []
-    for blk in p.blocks:
-        z1 = conv1d(hs[-1], blk.w1, blk.b1)
-        r = np.maximum(z1, 0)
-        z2 = conv1d(r, blk.w2, blk.b2)
-        s_pre = hs[-1] + z2
-        z1s.append(z1)
-        rs.append(r)
-        s_pres.append(s_pre)
-        hs.append(np.maximum(s_pre, 0))
-    logits = conv1d(hs[-1], p.w_head, p.b_head)[:, 0, :]
+    acts = {"z0": [], "hs": [], "z1s": [], "rs": [], "s_pres": []}
+    logits = _conv_stack(x2d, p, acts)
 
     v0_arr = np.broadcast_to(np.asarray(v0, logits.dtype), (x2d.shape[0],)).copy()
     spikes, vprime, _ = bilif_fold(logits, cfg.lif, v0_arr)
     out = spikes if mode == "hard" else soft_bilif(vprime, cfg.lif, cfg.surrogate)
-    cache = ForwardCache(x2d, z0, hs, z1s, rs, s_pres, logits, vprime, spikes, v0_arr)
+    cache = ForwardCache(x2d, acts["z0"][0], acts["hs"], acts["z1s"], acts["rs"],
+                         acts["s_pres"], logits, vprime, spikes, v0_arr)
     return (out[0] if squeeze else out), cache
 
 
@@ -252,52 +268,24 @@ def backward(grad_spikes, cache: ForwardCache, p: SpikeNetParams,
     return grads, (dx2d[0] if squeeze else dx2d)
 
 
-def _mask_outside(h: np.ndarray, pos0: int, k_total: int) -> np.ndarray:
-    """Zero columns whose global position falls outside [0, K)."""
-    idx = np.arange(h.shape[2]) + pos0
-    bad = (idx < 0) | (idx >= k_total)
-    if bad.any():
-        h[:, :, bad] = 0
-    return h
-
-
-def _chunk_logits(xpix: np.ndarray, a: int, b: int, p: SpikeNetParams,
-                  cfg: SpikeNetConfig) -> np.ndarray:
-    """Logits for output ticks [a, b), bit-identical to the full forward.
-
-    Works on a halo of half the receptive field around the chunk, runs the
-    conv stack unpadded, and re-creates the full forward's per-layer zero
-    padding by masking activations at out-of-sequence positions.
-    """
-    k_total = xpix.shape[1]
-    pad = (cfg.kernel - 1) // 2
-    halo = pad * (2 * cfg.depth + 1)
-    lo, hi = a - halo, b + halo
-    seg = np.zeros((xpix.shape[0], hi - lo), dtype=xpix.dtype)
-    src0, src1 = max(lo, 0), min(hi, k_total)
-    seg[:, src0 - lo:src1 - lo] = xpix[:, src0:src1]
-
-    h = np.maximum(conv1d(seg[:, None, :], p.w_in, p.b_in, pad=0), 0)
-    pos = lo + pad
-    h = _mask_outside(h, pos, k_total)
-    for blk in p.blocks:
-        r = np.maximum(conv1d(h, blk.w1, blk.b1, pad=0), 0)
-        r = _mask_outside(r, pos + pad, k_total)
-        z2 = conv1d(r, blk.w2, blk.b2, pad=0)
-        h = np.maximum(h[:, :, 2 * pad:2 * pad + z2.shape[2]] + z2, 0)
-        pos += 2 * pad
-        h = _mask_outside(h, pos, k_total)
-    return conv1d(h, p.w_head, p.b_head, pad=0)[:, 0, :]
-
-
 def _infer_rows(xpix: np.ndarray, p: SpikeNetParams, cfg: SpikeNetConfig,
                 v0: np.ndarray, chunk: int, out: np.ndarray) -> None:
+    """Stream row block xpix (B, K) through the network in time chunks.
+
+    Each chunk [a, b) runs the full-forward stack on the window
+    [a - halo, b + halo) clipped to [0, K).  'same' padding is exact at the
+    sequence ends, and at an inner window edge its zeros reach only pad ticks
+    further inward per conv, halo ticks in all, so the chunk's own logits
+    equal the full forward's bit for bit.  The membrane carries across chunks.
+    """
     k_total = xpix.shape[1]
+    halo = receptive_field(cfg) // 2
     v = v0.astype(xpix.dtype)
     for a in range(0, k_total, chunk):
         b = min(a + chunk, k_total)
-        logits = _chunk_logits(xpix, a, b, p, cfg)
-        spikes, _, v = bilif_fold(logits, cfg.lif, v)
+        lo = max(a - halo, 0)
+        logits = _conv_stack(xpix[:, lo:min(b + halo, k_total)], p)
+        spikes, _, v = bilif_fold(logits[:, a - lo:b - lo], cfg.lif, v)
         out[:, a:b] = spikes
 
 
@@ -390,8 +378,10 @@ def load_checkpoint(path) -> tuple[SpikeNetParams, SpikeNetConfig]:
         n = int(np.prod(shape))
         if off + 4 * n > len(buf):
             raise FormatError(f"{path}: truncated tensor data")
-        tensors.append(np.frombuffer(buf, dtype="<f4", count=n,
-                                     offset=off).reshape(shape).copy())
+        t = np.frombuffer(buf, dtype="<f4", count=n, offset=off).reshape(shape)
+        if not np.isfinite(t).all():
+            raise FormatError(f"{path}: non-finite weights in tensor {len(tensors)}")
+        tensors.append(t.copy())
         off += 4 * n
     if off != len(buf):
         raise FormatError(f"{path}: trailing bytes")

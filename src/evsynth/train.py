@@ -37,6 +37,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.batch < 1:
+            raise ValueError("batch must be >= 1")
+        if not 0 <= self.clip < np.inf:
+            raise ValueError("clip must be finite and >= 0")
         if not self.lr > 0:
             raise ValueError("lr must be positive")
         if not 0 <= self.holdout <= 0.5:

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from evsynth import formats, spikenet
+import evsynth
+from evsynth import core, formats, spikenet
 from evsynth.cli import RunConfig, main
 from evsynth.errors import ConfigError
 from evsynth.spikenet import SpikeNetConfig, SpikeNetParams, init_params
@@ -178,6 +184,21 @@ def test_exit_codes(tmp_path):
     assert run("simulate", str(bad), "--out", str(tmp_path / "w.evt1")) == 2
     # usage: bad worker count -> 1
     assert run("gen", "--out", str(tmp_path / "v.fseq"), "--workers", "0") == 1
+
+
+@pytest.mark.parametrize("key", ["eval.bin_fps", "eval.buckets", "train.batch"])
+def test_zero_config_value_exits_1_without_traceback(tmp_path, key):
+    ev = tmp_path / "ev.evt1"
+    formats.write_evt1(core.EventList(4, 4, np.zeros(0, core.EVENT_DTYPE)), ev)
+    argv = (["hist", str(ev)] if key.startswith("eval.") else ["train"])
+    env = dict(os.environ, PYTHONPATH=str(Path(evsynth.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "evsynth.cli", *argv, "--out",
+         str(tmp_path / "out"), "--set", f"{key}=0"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("evsynth: ")
 
 
 def test_divergence_maps_to_exit_3(tmp_path, monkeypatch):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from evsynth.core import (EventList, SpikeTrain, dense_to_sparse,
-                          sparse_to_dense, voxelize)
+                          sparse_to_dense, tick_to_us, voxelize)
 from evsynth.errors import CollisionError, RangeError
 
 from conftest import random_event_list
@@ -59,6 +59,13 @@ def test_sparse_to_dense_range_error():
     ev = EventList.from_arrays(2, 2, t=[999_999], x=[0], y=[0], p=[1])
     with pytest.raises(RangeError):
         sparse_to_dense(ev, 1000.0, 10)
+
+
+def test_tick_to_us_refuses_to_wrap_past_u32():
+    # 4,294,967,000 us still fits in u32; one tick later is past 2**32
+    assert tick_to_us(4_294_967, 1000.0) == 4_294_967_000
+    with pytest.raises(RangeError):
+        tick_to_us(np.array([0, 4_294_968]), 1000.0)
 
 
 def test_event_list_rejects_unsorted():

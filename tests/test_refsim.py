@@ -110,14 +110,6 @@ def test_threshold_mismatch_floor():
     assert th.max() > cfg.theta  # mismatch is actually present
 
 
-def test_worker_count_invariance(rng):
-    cfg = RefSimConfig(seed=11, init_mode="uniform")
-    x = seq(rng.normal(0, 0.2, size=(40, 13, 9)).astype(np.float32))
-    base = simulate(x, cfg, workers=1)
-    for w in (2, 4, 8):
-        assert np.array_equal(simulate(x, cfg, workers=w).data, base.data)
-
-
 def test_matches_bilif_in_no_leak_limit(rng):
     # sigma=0, zero init, noise off: simulate == per-pixel no-leak BiLIF fold
     cfg = RefSimConfig(theta=0.3, **NOISELESS)

@@ -202,14 +202,23 @@ def test_input_gradient_matches_finite_differences():
     assert np.abs(dx - fd).max() <= 1e-5 * np.abs(fd).max()
 
 
-def test_streaming_matches_batch_forward(rng):
-    cfg = SpikeNetConfig(channels=8, kernel=5, depth=2)
+@pytest.mark.parametrize("kernel,depth,k,chunk", [
+    (5, 2, 200, 37),   # ragged last chunk
+    (1, 2, 50, 7),     # kernel 1: no halo
+    (7, 3, 15, 4),     # K shorter than the halo of 21
+    (5, 1, 30, 1),     # one tick per chunk
+    (5, 2, 40, 64),    # one chunk holds all of K
+    (3, 2, 96, 32),    # K an exact multiple of chunk
+], ids=["ragged", "kernel1", "K_under_halo", "chunk1", "chunk_over_K",
+        "K_multiple_of_chunk"])
+def test_streaming_matches_batch_forward(rng, kernel, depth, k, chunk):
+    cfg = SpikeNetConfig(channels=8, kernel=kernel, depth=depth)
     params = noisy_params(cfg, 9, dtype=np.float32)
-    data = rng.normal(0, 0.8, size=(200, 8, 8)).astype(np.float32)
+    data = rng.normal(0, 0.8, size=(k, 8, 8)).astype(np.float32)
     seq = LogDiffSeq(8, 8, 1000.0, data)
-    stream = infer_stream(seq, params, cfg, chunk=37)
-    full, _ = forward(seq.pixel_sequences(), params, cfg)
-    want = full.reshape(8, 8, 200).transpose(2, 0, 1)
+    stream = infer_stream(seq, params, cfg, chunk=chunk)
+    full, _ = forward(seq.pixel_sequences(), params, cfg, mode="hard")
+    want = full.reshape(8, 8, k).transpose(2, 0, 1)
     assert np.array_equal(stream.data, want)
     assert np.abs(stream.data).sum() > 0  # the comparison is not vacuous
 
@@ -274,6 +283,17 @@ def test_checkpoint_truncated(tmp_path):
     path.write_bytes(path.read_bytes()[:-7])
     with pytest.raises(FormatError):
         load_checkpoint(path)
+
+
+def test_checkpoint_rejects_non_finite_weights(tmp_path):
+    cfg = small_cfg()
+    params = init_params(cfg, 0)
+    for bad in (np.nan, np.inf):
+        params.blocks[0].w1[0, 0, 0] = bad
+        path = tmp_path / "model.evsn"
+        save_checkpoint(path, params, cfg)
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
 
 
 def test_throughput_scales_with_pixel_count(rng):
