@@ -9,13 +9,12 @@ line flags (flags win).  Every run writes the fully resolved configuration as
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 from . import core, formats, metrics, refsim, scenegen, spikenet, train as train_mod
-from .errors import (CacheMismatchError, CollisionError, ConfigError,
-                     DivergenceError, FormatError, LengthMismatchError,
-                     RangeError, ShapeError, ShapeMismatchError, UsageError)
+from .errors import ConfigError, EvsynthError, FormatError
 from .luminance import LuminanceConfig, log_diff_sequence
 from .refsim import RefSimConfig
 from .scenegen import NoiseModel, SceneSpec
@@ -56,7 +55,10 @@ class RunConfig:
             if isinstance(default, int):
                 self.values[sec][key] = int(raw)
             elif isinstance(default, float):
-                self.values[sec][key] = float(raw)
+                value = float(raw)
+                if not math.isfinite(value):
+                    raise ValueError(raw)
+                self.values[sec][key] = value
             else:
                 self.values[sec][key] = raw
         except ValueError:
@@ -95,52 +97,44 @@ def _write_run_cfg(cfg: RunConfig, out_path, command: str, workers: int) -> None
     target.write_text(f"# evsynth {command} (workers={workers})\n" + cfg.dump())
 
 
-def _wrap_config(build):
-    try:
-        return build()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
 def _scene_spec(cfg: RunConfig, kind=None, seed_offset=0) -> SceneSpec:
-    return _wrap_config(lambda: SceneSpec(
+    return SceneSpec(
         kind=kind or cfg["scene.kind"], width=cfg["scene.width"],
         height=cfg["scene.height"], fps=cfg["scene.fps"],
         duration=cfg["scene.duration"], velocity=cfg["scene.velocity"],
         spatial_freq=cfg["scene.spatial_freq"],
         flash_period=cfg["scene.flash_period"], contrast=cfg["scene.contrast"],
-        seed=cfg["scene.seed"] + seed_offset))
+        seed=cfg["scene.seed"] + seed_offset)
 
 
 def _noise_model(cfg: RunConfig) -> NoiseModel:
-    return _wrap_config(lambda: NoiseModel(cfg["noise.spp"], cfg["noise.gain"],
-                                           cfg["noise.seed"]))
+    return NoiseModel(cfg["noise.spp"], cfg["noise.gain"], cfg["noise.seed"])
 
 
 def _lum_config(cfg: RunConfig) -> LuminanceConfig:
-    return _wrap_config(lambda: LuminanceConfig(cfg["lum.rho_log"]))
+    return LuminanceConfig(cfg["lum.rho_log"])
 
 
 def _refsim_config(cfg: RunConfig) -> RefSimConfig:
-    return _wrap_config(lambda: RefSimConfig(
+    return RefSimConfig(
         theta=cfg["sim.theta"], sigma_theta=cfg["sim.sigma_theta"],
         init_mode=cfg["sim.init_mode"], leak_rate=cfg["sim.leak_rate"],
-        shot_rate=cfg["sim.shot_rate"], seed=cfg["sim.seed"]))
+        shot_rate=cfg["sim.shot_rate"], seed=cfg["sim.seed"])
 
 
 def _net_config(cfg: RunConfig) -> SpikeNetConfig:
-    return _wrap_config(lambda: SpikeNetConfig(
+    return SpikeNetConfig(
         channels=cfg["net.channels"], kernel=cfg["net.kernel"],
         depth=cfg["net.depth"], lif=LifParams(cfg["net.tau"], cfg["net.v_th"]),
-        surrogate=SurrogateConfig(cfg["net.alpha"])))
+        surrogate=SurrogateConfig(cfg["net.alpha"]))
 
 
 def _train_config(cfg: RunConfig) -> train_mod.TrainConfig:
-    return _wrap_config(lambda: train_mod.TrainConfig(
+    return train_mod.TrainConfig(
         epochs=cfg["train.epochs"], batch=cfg["train.batch"],
         lr=cfg["train.lr"], count_weight=cfg["train.lambda"],
         clip=cfg["train.clip"], seed=cfg["train.seed"],
-        holdout=cfg["train.holdout"]))
+        holdout=cfg["train.holdout"])
 
 
 def _read_events(path) -> core.EventList:
@@ -245,8 +239,7 @@ def cmd_eval(args, cfg: RunConfig) -> None:
 
 def cmd_hist(args, cfg: RunConfig) -> None:
     e = _read_events(args.input)
-    hist = _wrap_config(lambda: metrics.intensity_histogram(
-        e, cfg["eval.bin_fps"], cfg["eval.buckets"]))
+    hist = metrics.intensity_histogram(e, cfg["eval.bin_fps"], cfg["eval.buckets"])
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     lines = ["bucket,count"] + [f"{i},{c}" for i, c in enumerate(hist.tolist())]
@@ -256,7 +249,7 @@ def cmd_hist(args, cfg: RunConfig) -> None:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit code 1 for usage errors, not argparse's 2
-        raise UsageError(message)
+        raise ConfigError(message)
 
 
 def _build_parser() -> _Parser:
@@ -306,10 +299,6 @@ def _build_parser() -> _Parser:
 _COMMANDS = {"gen": cmd_gen, "simulate": cmd_simulate, "train": cmd_train,
              "infer": cmd_infer, "eval": cmd_eval, "hist": cmd_hist}
 
-_DATA_ERRORS = (FormatError, RangeError, CollisionError, ShapeError,
-                ShapeMismatchError, LengthMismatchError, CacheMismatchError,
-                OSError)
-
 
 def _resolve_config(args) -> RunConfig:
     cfg = RunConfig()
@@ -339,18 +328,12 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         cfg = _resolve_config(args)
         if args.workers < 1:
-            raise UsageError("--workers must be >= 1")
+            raise ConfigError("--workers must be >= 1")
         _COMMANDS[args.command](args, cfg)
         return 0
-    except (UsageError, ConfigError) as exc:
+    except (EvsynthError, OSError) as exc:
         print(f"evsynth: {exc}", file=sys.stderr)
-        return 1
-    except _DATA_ERRORS as exc:
-        print(f"evsynth: {exc}", file=sys.stderr)
-        return 2
-    except DivergenceError as exc:
-        print(f"evsynth: {exc}", file=sys.stderr)
-        return 3
+        return getattr(exc, "exit_code", 2)
 
 
 if __name__ == "__main__":

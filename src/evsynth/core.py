@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CollisionError, RangeError
+from .errors import CollisionError, ConfigError, RangeError
 
 US_PER_S = 1_000_000
 
@@ -180,6 +180,8 @@ def dense_to_sparse(s: SpikeTrain) -> EventList:
 
 def sparse_to_dense(e: EventList, fps: float, k: int) -> SpikeTrain:
     """Exact inverse of dense_to_sparse under matching fps/K."""
+    if not 0 < fps < np.inf:
+        raise ConfigError("fps must be finite and positive")
     data = np.zeros((k, e.height, e.width), dtype=np.int8)
     r = e.records
     if r.size:
@@ -199,8 +201,8 @@ def voxelize(e: EventList, bin_fps: float, duration_us: int | None = None) -> Vo
     When duration_us is omitted it is taken as (last timestamp + 1), so the
     grid has ceil(duration * bin_fps) bins and every event lands inside.
     """
-    if not bin_fps > 0:
-        raise ValueError("bin_fps must be positive")
+    if not 0 < bin_fps < np.inf:
+        raise ConfigError("bin_fps must be finite and positive")
     r = e.records
     if duration_us is None:
         duration_us = int(r["t"].max()) + 1 if r.size else 1

@@ -1,16 +1,20 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit.
+
+Each class carries the command-line exit code it ends in: 1 for a bad
+configuration value or invocation, 2 for bad data, 3 for numeric divergence.
+"""
 
 
 class EvsynthError(Exception):
     """Base class for all toolkit errors."""
 
-
-class ConfigError(EvsynthError):
-    """Invalid configuration value (non-positive dims, bad key, ...)."""
+    exit_code = 2
 
 
-class UsageError(EvsynthError):
-    """Bad command-line invocation."""
+class ConfigError(EvsynthError, ValueError):
+    """Invalid configuration value or command-line usage."""
+
+    exit_code = 1
 
 
 class FormatError(EvsynthError):
@@ -25,21 +29,11 @@ class CollisionError(EvsynthError):
     """Two sparse records map to the same (pixel, timestep) cell."""
 
 
-class LengthMismatchError(EvsynthError):
-    """Two sequences that must share a length do not."""
-
-
-class ShapeMismatchError(EvsynthError):
-    """Two arrays that must share a shape do not."""
-
-
 class ShapeError(EvsynthError):
-    """Array has the wrong rank or an inconsistent extent."""
-
-
-class CacheMismatchError(EvsynthError):
-    """Backward pass was handed a cache from a different forward pass."""
+    """Arrays whose ranks, shapes or lengths must agree do not."""
 
 
 class DivergenceError(EvsynthError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss or weight."""
+
+    exit_code = 3

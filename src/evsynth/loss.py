@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthMismatchError, ShapeMismatchError
+from .errors import ConfigError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -26,7 +26,7 @@ class LossConfig:
 
     def __post_init__(self):
         if self.count_weight < 0:
-            raise ValueError("count_weight must be >= 0")
+            raise ConfigError("count_weight must be >= 0")
 
 
 @dataclass
@@ -41,7 +41,7 @@ def _pair(e, s):
     e = np.asarray(e, dtype=np.float64)
     s = np.asarray(s, dtype=np.float64)
     if e.shape[-1] != s.shape[-1]:
-        raise LengthMismatchError(f"lengths {e.shape[-1]} != {s.shape[-1]}")
+        raise ShapeError(f"lengths {e.shape[-1]} != {s.shape[-1]}")
     return e, s
 
 
@@ -86,7 +86,7 @@ def total_loss(e, s, cfg: LossConfig = LossConfig()) -> LossReport:
     """Mean over pixels of emd_polar + weight * count_loss."""
     ep, sp = _as_pixels(e), _as_pixels(s)
     if ep.shape != sp.shape:
-        raise ShapeMismatchError(f"shapes {ep.shape} != {sp.shape}")
+        raise ShapeError(f"shapes {ep.shape} != {sp.shape}")
     emd_px, count_px = emd_polar(ep, sp), count_loss(ep, sp)
     emd_mean, count_mean = float(emd_px.mean()), float(count_px.mean())
     return LossReport(emd_mean, count_mean,
@@ -117,7 +117,7 @@ def loss_grad(e, s, cfg: LossConfig = LossConfig()) -> np.ndarray:
     """
     ep, sp = _as_pixels(e), _as_pixels(s)
     if ep.shape != sp.shape:
-        raise ShapeMismatchError(f"shapes {ep.shape} != {sp.shape}")
+        raise ShapeError(f"shapes {ep.shape} != {sp.shape}")
     pos_mask = sp >= 0
     g = np.where(pos_mask, _emd_bidir_grad(_pos(ep), _pos(sp)), 0.0)
     g -= np.where(~pos_mask, _emd_bidir_grad(_pos(-ep), _pos(-sp)), 0.0)

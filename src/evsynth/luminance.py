@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FrameSeq, LogDiffSeq
+from .errors import ConfigError
 
 LUMA_R, LUMA_G, LUMA_B = 0.2126, 0.7152, 0.0722
 _COEFFS = np.array([LUMA_R, LUMA_G, LUMA_B], dtype=np.float64)
@@ -24,7 +25,7 @@ class LuminanceConfig:
 
     def __post_init__(self):
         if not 0 < self.rho_log < 1:
-            raise ValueError("rho_log must lie in (0, 1)")
+            raise ConfigError("rho_log must lie in (0, 1)")
 
 
 def luma(rgb) -> np.ndarray:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EventList, SpikeTrain, voxelize
-from .errors import ShapeMismatchError
+from .errors import ConfigError, ShapeError
 from .loss import emd_polar
 
 
@@ -28,7 +28,7 @@ def _ratio(num: float, den: float) -> float:
 
 def stream_distance(a: SpikeTrain, b: SpikeTrain) -> StreamDistanceReport:
     if a.data.shape != b.data.shape:
-        raise ShapeMismatchError(f"shapes {a.data.shape} != {b.data.shape}")
+        raise ShapeError(f"shapes {a.data.shape} != {b.data.shape}")
     ap = a.pixel_sequences().astype(np.float64)
     bp = b.pixel_sequences().astype(np.float64)
     per_pixel = emd_polar(ap, bp)
@@ -49,7 +49,7 @@ def intensity_histogram(e: EventList, bin_fps: float = 60.0, buckets: int = 32,
     overflow for >= buckets-1, keeping the high-intensity tail visible.
     """
     if buckets < 1:
-        raise ValueError("buckets must be >= 1")
+        raise ConfigError("buckets must be >= 1")
     grid = voxelize(e, bin_fps, duration_us)
     counts = np.minimum(grid.unsigned.reshape(-1), buckets - 1)
     return np.bincount(counts, minlength=buckets).astype(np.int64)

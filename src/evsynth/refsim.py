@@ -19,6 +19,7 @@ import numpy as np
 
 from . import rng
 from .core import LogDiffSeq, SpikeTrain
+from .errors import ConfigError
 
 _SALT_THRESH = 21
 _SALT_INIT = 22
@@ -40,11 +41,13 @@ class RefSimConfig:
 
     def __post_init__(self):
         if not self.theta > 0:
-            raise ValueError("theta must be positive")
+            raise ConfigError("theta must be positive")
         if self.sigma_theta < 0 or self.leak_rate < 0 or self.shot_rate < 0:
-            raise ValueError("sigma_theta and noise rates must be >= 0")
+            raise ConfigError("sigma_theta and noise rates must be >= 0")
         if self.init_mode not in INIT_MODES:
-            raise ValueError(f"init_mode must be one of {INIT_MODES}")
+            raise ConfigError(f"init_mode must be one of {INIT_MODES}")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
 
 def pixel_thresholds(cfg: RefSimConfig, height: int, width: int) -> np.ndarray:

@@ -45,6 +45,8 @@ class SceneSpec:
             raise ConfigError("velocity must be finite")
         if self.n_frames < 2:
             raise ConfigError("duration*fps must cover at least 2 frames")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
     @property
     def n_frames(self) -> int:
@@ -66,6 +68,8 @@ class NoiseModel:
             raise ConfigError("spp must be >= 1")
         if self.gain < 0:
             raise ConfigError("gain must be >= 0")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
     @property
     def sigma(self) -> float:

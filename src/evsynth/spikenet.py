@@ -25,7 +25,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import rng
 from .core import LogDiffSeq, SpikeTrain
-from .errors import CacheMismatchError, FormatError, ShapeError
+from .errors import ConfigError, FormatError, ShapeError
 from .spiking import (LifParams, SurrogateConfig, bilif_fold, soft_bilif,
                       surrogate_grad)
 
@@ -41,10 +41,10 @@ class SpikeNetConfig:
     surrogate: SurrogateConfig = field(default_factory=SurrogateConfig)
 
     def __post_init__(self):
-        if self.kernel % 2 == 0:
-            raise ValueError("kernel must be odd")
+        if self.kernel < 1 or self.kernel % 2 == 0:
+            raise ConfigError("kernel must be odd and >= 1")
         if self.depth < 1 or self.channels < 1:
-            raise ValueError("depth and channels must be >= 1")
+            raise ConfigError("depth and channels must be >= 1")
 
 
 def receptive_field(cfg: SpikeNetConfig) -> int:
@@ -207,7 +207,7 @@ def forward(x, p: SpikeNetParams, cfg: SpikeNetConfig, v0=0.0,
     resets) are identical in both modes.
     """
     if mode not in ("hard", "soft"):
-        raise ValueError("mode must be 'hard' or 'soft'")
+        raise ConfigError("mode must be 'hard' or 'soft'")
     x2d, squeeze = _as_batch(x)
     if x2d.shape[1] < 1:
         raise ShapeError("input must have at least one timestep")
@@ -233,9 +233,9 @@ def backward(grad_spikes, cache: ForwardCache, p: SpikeNetParams,
     """
     g, squeeze = _as_batch(grad_spikes)
     if g.shape != cache.logits.shape:
-        raise CacheMismatchError(f"grad shape {g.shape} != cached {cache.logits.shape}")
+        raise ShapeError(f"grad shape {g.shape} != cached {cache.logits.shape}")
     if len(p.blocks) != len(cache.z1s) or p.w_in.shape[0] != cache.z0.shape[1]:
-        raise CacheMismatchError("params do not match the cached forward pass")
+        raise ShapeError("params do not match the cached forward pass")
 
     # spike head: backprop through time over the membrane recursion
     sg = surrogate_grad(cache.vprime, cfg.lif, cfg.surrogate)
@@ -300,7 +300,9 @@ def infer_stream(x: LogDiffSeq, p: SpikeNetParams, cfg: SpikeNetConfig,
     count, and the membrane state is carried across chunk boundaries.
     """
     if v0_mode not in ("zero", "uniform"):
-        raise ValueError("v0_mode must be 'zero' or 'uniform'")
+        raise ConfigError("v0_mode must be 'zero' or 'uniform'")
+    if seed < 0:
+        raise ConfigError("seed must be >= 0")
     k, h, w = x.data.shape
     pix = x.data.transpose(1, 2, 0).reshape(h * w, k)  # (H*W, K), y-major
     if v0_mode == "zero":
@@ -358,8 +360,11 @@ def load_checkpoint(path) -> tuple[SpikeNetParams, SpikeNetConfig]:
     if version != 1:
         raise FormatError(f"{path}: unsupported version {version}")
     c, k, m, tau, v_th, alpha = _EVSN_CONFIG.unpack_from(buf, _EVSN_HEADER.size)
-    cfg = SpikeNetConfig(int(c), int(k), int(m), LifParams(tau, v_th),
-                         SurrogateConfig(alpha))
+    try:
+        cfg = SpikeNetConfig(int(c), int(k), int(m), LifParams(tau, v_th),
+                             SurrogateConfig(alpha))
+    except (ValueError, OverflowError) as exc:  # ConfigError, int(nan), int(inf)
+        raise FormatError(f"{path}: bad config block: {exc}") from None
     off = _EVSN_HEADER.size + _EVSN_CONFIG.size
     tensors = []
     for shape in param_shapes(cfg):

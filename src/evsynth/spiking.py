@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 @dataclass(frozen=True)
 class LifParams:
@@ -24,9 +26,9 @@ class LifParams:
 
     def __post_init__(self):
         if not self.tau > 1:
-            raise ValueError("tau must exceed 1")
+            raise ConfigError("tau must exceed 1")
         if not self.v_th > 0:
-            raise ValueError("v_th must be positive")
+            raise ConfigError("v_th must be positive")
 
     @property
     def decay(self) -> float:
@@ -48,7 +50,7 @@ class SurrogateConfig:
 
     def __post_init__(self):
         if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
+            raise ConfigError("alpha must be positive")
 
 
 def lif_step(state: NeuronState, inp: float, p: LifParams) -> tuple[NeuronState, int]:

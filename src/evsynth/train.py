@@ -16,7 +16,7 @@ import numpy as np
 
 from . import refsim, scenegen, spikenet
 from .core import LogDiffSeq, SpikeTrain
-from .errors import DivergenceError
+from .errors import ConfigError, DivergenceError
 from .loss import LossConfig, loss_grad, total_loss
 from .luminance import LuminanceConfig, log_diff_sequence
 from .refsim import RefSimConfig
@@ -36,15 +36,17 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+            raise ConfigError("epochs must be >= 1")
         if self.batch < 1:
-            raise ValueError("batch must be >= 1")
+            raise ConfigError("batch must be >= 1")
         if not 0 <= self.clip < np.inf:
-            raise ValueError("clip must be finite and >= 0")
-        if not self.lr > 0:
-            raise ValueError("lr must be positive")
+            raise ConfigError("clip must be finite and >= 0")
+        if not 0 < self.lr < np.inf:
+            raise ConfigError("lr must be finite and positive")
         if not 0 <= self.holdout <= 0.5:
-            raise ValueError("holdout must lie in [0, 0.5]")
+            raise ConfigError("holdout must lie in [0, 0.5]")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
 
 @dataclass
@@ -175,6 +177,8 @@ def train(data: list[DatasetPair], net_cfg: SpikeNetConfig, t_cfg: TrainConfig,
             new_tensors, state = adam_step(params.tensors(), g_list, state, t_cfg.lr)
             params = SpikeNetParams.from_tensors(new_tensors)
             losses.append(report.total)
+        if not all(np.isfinite(t).all() for t in params.tensors()):
+            raise DivergenceError(f"non-finite weights at epoch {epoch}")
 
         if len(hold_idx):
             hold_loss = evaluate_holdout(xs[hold_idx], es[hold_idx], params,

@@ -8,7 +8,7 @@ import pytest
 
 import evsynth
 from evsynth import core, formats, spikenet
-from evsynth.cli import RunConfig, main
+from evsynth.cli import DEFAULTS, RunConfig, main
 from evsynth.errors import ConfigError
 from evsynth.spikenet import SpikeNetConfig, SpikeNetParams, init_params
 
@@ -224,3 +224,88 @@ def test_theta_flag_wins_over_config(tmp_path):
     # smaller threshold -> strictly more events
     assert len(formats.read_evt1(b)) > len(formats.read_evt1(a))
     assert "sim.theta = 0.1" in (tmp_path / "run.cfg").read_text()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverging_train_writes_no_checkpoint(tmp_path, capsys):
+    out = tmp_path / "r"
+    assert run("train", "--out", str(out), "--epochs", "2",
+               "--set", "scene.width=4", "--set", "scene.height=4",
+               "--set", "scene.duration=0.02", "--set", "train.lr=1e300") == 3
+    assert capsys.readouterr().err.startswith("evsynth: ")
+    assert not list(out.glob("epoch_*.evsn"))
+
+
+_SWEEP_VALUES = ("0", "-1", "nan", "inf", "-inf", "")
+_SWEEP_ROUTES = {"scene": ("gen",), "noise": ("gen",),
+                 "lum": ("simulate", "infer"), "sim": ("simulate", "infer"),
+                 "net": ("train", "infer"), "train": ("train",),
+                 "eval": ("eval", "hist")}
+_SWEEP_CLIP = ["--set", "scene.width=8", "--set", "scene.height=8",
+               "--set", "scene.duration=0.02"]
+
+
+@pytest.fixture(scope="module")
+def sweep_inputs(tmp_path_factory):
+    """An 8x8, 20-frame clip, its simulated events and a small checkpoint."""
+    d = tmp_path_factory.mktemp("sweep")
+    fseq, ev = d / "clip.fseq", d / "ev.evt1"
+    assert main(["gen", "--out", str(fseq), *_SWEEP_CLIP,
+                 "--set", "scene.kind=mixed"]) == 0
+    assert main(["simulate", str(fseq), "--out", str(ev)]) == 0
+    return str(fseq), str(ev), str(_fixture_checkpoint(d))
+
+
+def _sweep_argv(command, inputs, out):
+    fseq, ev, ckpt = inputs
+    # the swept --set goes after these, so it wins over any base value
+    return {
+        "gen": ["gen", "--out", str(out / "c.fseq"),
+                "--noisy-out", str(out / "n.fseq"), *_SWEEP_CLIP],
+        "simulate": ["simulate", fseq, "--out", str(out / "s.evt1")],
+        "infer": ["infer", fseq, ckpt, "--out", str(out / "i.evt1"),
+                  "--set", "net.v0_mode=uniform"],
+        "train": ["train", "--out", str(out / "t"), *_SWEEP_CLIP,
+                  "--set", "net.channels=4", "--set", "net.kernel=3",
+                  "--set", "net.depth=1", "--set", "train.epochs=1"],
+        "eval": ["eval", ev, ev, "--out", str(out / "e.csv")],
+        "hist": ["hist", ev, "--out", str(out / "h.csv")],
+    }[command]
+
+
+_SWEEP_CASES = [
+    pytest.param(command, ["--set", f"{sec}.{key}={value}"],
+                 id=f"{command}-{sec}.{key}={value}")
+    for sec, keys in DEFAULTS.items() for key in keys
+    for value in _SWEEP_VALUES for command in _SWEEP_ROUTES[sec]
+] + [pytest.param(command, ["--seed", "-1"], id=f"{command}-seed=-1")
+     for command in ("gen", "simulate", "infer", "train", "eval", "hist")]
+
+
+@pytest.mark.parametrize("command,bad", _SWEEP_CASES)
+def test_adversarial_config_value_ends_in_exit_code(tmp_path, capsys,
+                                                    sweep_inputs, command, bad):
+    code = main(_sweep_argv(command, sweep_inputs, tmp_path) + bad)
+    assert code in (0, 1, 2, 3)
+    if code:
+        assert capsys.readouterr().err.startswith("evsynth: ")
+
+
+@pytest.mark.parametrize("command,bad", [
+    ("gen", "--seed -1"), ("gen", "--set scene.seed=-1"),
+    ("gen", "--set noise.seed=-1"), ("simulate", "--set sim.seed=-1"),
+    ("infer", "--set sim.seed=-1"), ("train", "--set train.seed=-1"),
+    ("train", "--set net.kernel=-1"), ("infer", "--set net.v0_mode=bogus"),
+    ("train", "--set train.lambda=-1"), ("eval", "--set eval.fps=0"),
+    ("eval", "--set eval.fps=-1"), ("eval", "--set eval.fps=nan"),
+    ("hist", "--set eval.bin_fps=inf"), ("gen", "--set scene.fps=inf"),
+    ("gen", "--set scene.duration=-inf"), ("gen", "--set noise.gain=nan"),
+    ("gen", "--set scene.spatial_freq=nan"),
+    ("gen", "--set scene.flash_period=nan"),
+    ("simulate", "--set sim.sigma_theta=nan"),
+    ("simulate", "--set sim.leak_rate=inf"),
+])
+def test_out_of_range_value_exits_1(tmp_path, capsys, sweep_inputs, command,
+                                    bad):
+    assert main(_sweep_argv(command, sweep_inputs, tmp_path) + bad.split()) == 1
+    assert capsys.readouterr().err.startswith("evsynth: ")

@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from evsynth.core import (EventList, SpikeTrain, dense_to_sparse,
                           sparse_to_dense, tick_to_us, voxelize)
-from evsynth.errors import CollisionError, RangeError
+from evsynth.errors import CollisionError, ConfigError, RangeError
 
 from conftest import random_event_list
 
@@ -109,6 +109,15 @@ def test_voxelize_explicit_duration():
     grid = voxelize(ev, 60.0, duration_us=1_000_000)
     assert grid.n_bins == 60
     assert grid.unsigned.sum() == 1
+
+
+@pytest.mark.parametrize("rate", [0.0, -1.0, np.nan, np.inf])
+def test_rates_must_be_finite_and_positive(rate):
+    ev = EventList.from_arrays(1, 1, t=[0], x=[0], y=[0], p=[1])
+    with pytest.raises(ConfigError):
+        voxelize(ev, rate)
+    with pytest.raises(ConfigError):
+        sparse_to_dense(ev, rate, 1)
 
 
 def test_spike_train_rejects_out_of_range_entries():

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from evsynth.errors import LengthMismatchError, ShapeMismatchError
+from evsynth.errors import ShapeError
 from evsynth.loss import (LossConfig, count_loss, emd, emd_bidir, emd_polar,
                           loss_grad, total_loss)
 
@@ -63,9 +63,9 @@ def test_forward_only_rewards_late_hallucination_bidir_does_not():
 
 
 def test_length_mismatch():
-    with pytest.raises(LengthMismatchError):
+    with pytest.raises(ShapeError):
         emd([1, 0], [1, 0, 0])
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(ShapeError):
         total_loss(np.zeros((2, 4)), np.zeros((3, 4)))
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from evsynth.core import EventList, SpikeTrain
-from evsynth.errors import ShapeMismatchError
+from evsynth.errors import ShapeError
 from evsynth.loss import emd_polar
 from evsynth.metrics import intensity_histogram, stream_distance
 
@@ -57,7 +57,7 @@ def test_polarity_flip_swaps_ratios(rng):
 
 
 def test_shape_mismatch():
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(ShapeError):
         stream_distance(train_from(np.zeros((4, 2, 2), np.int8)),
                         train_from(np.zeros((5, 2, 2), np.int8)))
 

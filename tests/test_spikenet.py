@@ -1,10 +1,11 @@
+import struct
 import time
 
 import numpy as np
 import pytest
 
 from evsynth.core import LogDiffSeq
-from evsynth.errors import CacheMismatchError, FormatError, ShapeError
+from evsynth.errors import FormatError, ShapeError
 from evsynth.spikenet import (BlockParams, SpikeNetConfig, SpikeNetParams,
                               backward, conv1d, forward, infer_stream,
                               init_params, load_checkpoint, receptive_field,
@@ -91,10 +92,10 @@ def test_backward_rejects_mismatched_cache():
     cfg = small_cfg()
     params = init_params(cfg, 0)
     _, cache = forward(np.zeros((2, 16)), params, cfg)
-    with pytest.raises(CacheMismatchError):
+    with pytest.raises(ShapeError):
         backward(np.zeros((2, 8)), cache, params, cfg)
     other = init_params(small_cfg(channels=6), 0)
-    with pytest.raises(CacheMismatchError):
+    with pytest.raises(ShapeError):
         backward(np.zeros((2, 16)), cache, other, cfg)
 
 
@@ -281,6 +282,19 @@ def test_checkpoint_truncated(tmp_path):
     path = tmp_path / "model.evsn"
     save_checkpoint(path, params, cfg)
     path.write_bytes(path.read_bytes()[:-7])
+    with pytest.raises(FormatError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("field,value", [(1, 4.0), (0, np.nan), (2, np.inf),
+                                         (3, 0.5)])
+def test_checkpoint_bad_config_block_is_format_error(tmp_path, field, value):
+    cfg = small_cfg()
+    path = tmp_path / "model.evsn"
+    save_checkpoint(path, init_params(cfg, 0), cfg)
+    buf = bytearray(path.read_bytes())
+    struct.pack_into("<f", buf, 6 + 4 * field, value)  # after magic + version
+    path.write_bytes(bytes(buf))
     with pytest.raises(FormatError):
         load_checkpoint(path)
 

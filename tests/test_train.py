@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from evsynth.core import LogDiffSeq, SpikeTrain
-from evsynth.errors import DivergenceError
+from evsynth.errors import ConfigError, DivergenceError
 from evsynth.refsim import RefSimConfig
 from evsynth.scenegen import NoiseModel, SceneSpec, bar_edges
 from evsynth.spikenet import SpikeNetConfig, forward
@@ -211,3 +211,6 @@ def test_train_config_validation():
         TrainConfig(holdout=0.7)
     with pytest.raises(ValueError):
         TrainConfig(lr=0.0)
+    for bad in (dict(lr=np.inf), dict(lr=np.nan), dict(seed=-1)):
+        with pytest.raises(ConfigError):
+            TrainConfig(**bad)
