@@ -10,7 +10,7 @@ from .core import (EventList, FrameSeq, LogDiffSeq, SpikeTrain, VoxelGrid,
 from .luminance import LuminanceConfig, lin_log, log_diff_sequence, luma
 from .refsim import RefSimConfig, naive_baseline, simulate
 from .scenegen import NoiseModel, SceneSpec, add_render_noise, gen_scene
-from .spiking import LifParams, NeuronState, SurrogateConfig
+from .spiking import LifParams, SurrogateConfig
 from .spikenet import SpikeNetConfig, SpikeNetParams, infer_stream, receptive_field
 
 __version__ = "0.1.0"
@@ -21,7 +21,7 @@ __all__ = [
     "LuminanceConfig", "lin_log", "log_diff_sequence", "luma",
     "RefSimConfig", "naive_baseline", "simulate",
     "NoiseModel", "SceneSpec", "add_render_noise", "gen_scene",
-    "LifParams", "NeuronState", "SurrogateConfig",
+    "LifParams", "SurrogateConfig",
     "SpikeNetConfig", "SpikeNetParams", "infer_stream", "receptive_field",
     "__version__",
 ]

@@ -90,11 +90,11 @@ class RunConfig:
         return "\n".join(lines) + "\n"
 
 
-def _write_run_cfg(cfg: RunConfig, out_path, command: str, workers: int) -> None:
+def _write_run_cfg(cfg: RunConfig, out_path, command: str) -> None:
     out_path = Path(out_path)
     target = (out_path if out_path.is_dir() else out_path.parent) / "run.cfg"
     target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(f"# evsynth {command} (workers={workers})\n" + cfg.dump())
+    target.write_text(f"# evsynth {command}\n" + cfg.dump())
 
 
 def _scene_spec(cfg: RunConfig, kind=None, seed_offset=0) -> SceneSpec:
@@ -171,7 +171,7 @@ def cmd_gen(args, cfg: RunConfig) -> None:
     if args.noisy_out:
         noisy = scenegen.add_render_noise(clean, _noise_model(cfg))
         formats.write_fseq(noisy, args.noisy_out)
-    _write_run_cfg(cfg, out, "gen", args.workers)
+    _write_run_cfg(cfg, out, "gen")
 
 
 def cmd_simulate(args, cfg: RunConfig) -> None:
@@ -179,7 +179,7 @@ def cmd_simulate(args, cfg: RunConfig) -> None:
     x = log_diff_sequence(frames, _lum_config(cfg))
     train_out = refsim.simulate(x, _refsim_config(cfg))
     _write_events(core.dense_to_sparse(train_out), args.out)
-    _write_run_cfg(cfg, args.out, "simulate", args.workers)
+    _write_run_cfg(cfg, args.out, "simulate")
 
 
 def cmd_train(args, cfg: RunConfig) -> None:
@@ -196,7 +196,7 @@ def cmd_train(args, cfg: RunConfig) -> None:
                                       verbose=args.verbose)
     spikenet.save_checkpoint(out_dir / "model.evsn", params, net_cfg)
     train_mod.write_history_csv(history, out_dir / "history.csv")
-    _write_run_cfg(cfg, out_dir, "train", args.workers)
+    _write_run_cfg(cfg, out_dir, "train")
 
 
 def cmd_infer(args, cfg: RunConfig) -> None:
@@ -205,9 +205,9 @@ def cmd_infer(args, cfg: RunConfig) -> None:
     x = log_diff_sequence(frames, _lum_config(cfg))
     spikes = spikenet.infer_stream(x, params, net_cfg,
                                    v0_mode=cfg["net.v0_mode"],
-                                   seed=cfg["sim.seed"], workers=args.workers)
+                                   seed=cfg["sim.seed"])
     _write_events(core.dense_to_sparse(spikes), args.out)
-    _write_run_cfg(cfg, args.out, "infer", args.workers)
+    _write_run_cfg(cfg, args.out, "infer")
 
 
 def _events_to_train(e: core.EventList, fps: float, k: int, width: int,
@@ -234,7 +234,7 @@ def cmd_eval(args, cfg: RunConfig) -> None:
                    f"pos_ratio,{rep.pos_ratio:.8g}\n"
                    f"neg_ratio,{rep.neg_ratio:.8g}\n"
                    f"pixels,{rep.pixels}\n")
-    _write_run_cfg(cfg, out, "eval", args.workers)
+    _write_run_cfg(cfg, out, "eval")
 
 
 def cmd_hist(args, cfg: RunConfig) -> None:
@@ -244,7 +244,7 @@ def cmd_hist(args, cfg: RunConfig) -> None:
     out.parent.mkdir(parents=True, exist_ok=True)
     lines = ["bucket,count"] + [f"{i},{c}" for i, c in enumerate(hist.tolist())]
     out.write_text("\n".join(lines) + "\n")
-    _write_run_cfg(cfg, out, "hist", args.workers)
+    _write_run_cfg(cfg, out, "hist")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -260,7 +260,8 @@ def _build_parser() -> _Parser:
     def common(p):
         p.add_argument("--config", help="plain-text section.key = value file")
         p.add_argument("--seed", type=int, help="override all random seeds")
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=int, default=1,
+                       help="accepted and ignored; BLAS threads parallelize infer")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a single config key")
         p.add_argument("--out", required=True, help="output path")

@@ -201,8 +201,8 @@ def voxelize(e: EventList, bin_fps: float, duration_us: int | None = None) -> Vo
     When duration_us is omitted it is taken as (last timestamp + 1), so the
     grid has ceil(duration * bin_fps) bins and every event lands inside.
     """
-    if not 0 < bin_fps < np.inf:
-        raise ConfigError("bin_fps must be finite and positive")
+    if not 0 < bin_fps <= US_PER_S:
+        raise ConfigError("bin_fps must lie in (0, 1e6], one bin per us tick at most")
     r = e.records
     if duration_us is None:
         duration_us = int(r["t"].max()) + 1 if r.size else 1

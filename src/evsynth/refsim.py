@@ -46,8 +46,8 @@ class RefSimConfig:
             raise ConfigError("sigma_theta and noise rates must be >= 0")
         if self.init_mode not in INIT_MODES:
             raise ConfigError(f"init_mode must be one of {INIT_MODES}")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError("seed must lie in [0, 2**64)")
 
 
 def pixel_thresholds(cfg: RefSimConfig, height: int, width: int) -> np.ndarray:

@@ -43,6 +43,8 @@ class SceneSpec:
             raise ConfigError("contrast must lie in [0, 1]")
         if not np.isfinite(self.velocity):
             raise ConfigError("velocity must be finite")
+        if not self.duration * self.fps < 2**32 - 0.5:
+            raise ConfigError("duration*fps exceeds FSEQ's u32 frame count")
         if self.n_frames < 2:
             raise ConfigError("duration*fps must cover at least 2 frames")
         if self.seed < 0:
@@ -68,8 +70,8 @@ class NoiseModel:
             raise ConfigError("spp must be >= 1")
         if self.gain < 0:
             raise ConfigError("gain must be >= 0")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError("seed must lie in [0, 2**64)")
 
     @property
     def sigma(self) -> float:
@@ -169,5 +171,8 @@ def add_render_noise(f: FrameSeq, m: NoiseModel) -> FrameSeq:
         np.arange(3, dtype=np.uint64)[None, None, None, :],
         _SALT_NOISE,
     )
-    noisy = f.frames.astype(np.float64) * (1.0 + m.sigma * z)
-    return FrameSeq(f.width, f.height, f.fps, np.maximum(noisy, 0.0).astype(np.float32))
+    with np.errstate(over="ignore", invalid="ignore"):
+        noisy = np.maximum(f.frames.astype(np.float64) * (1.0 + m.sigma * z), 0.0)
+    if not noisy.max() <= np.finfo(np.float32).max:
+        raise ConfigError("render noise overflows float32 frames; lower the gain")
+    return FrameSeq(f.width, f.height, f.fps, noisy.astype(np.float32))

@@ -16,12 +16,10 @@ recursion is unrolled with the reset treated as constant (straight-through).
 from __future__ import annotations
 
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import rng
 from .core import LogDiffSeq, SpikeTrain
@@ -30,6 +28,7 @@ from .spiking import (LifParams, SurrogateConfig, bilif_fold, soft_bilif,
                       surrogate_grad)
 
 _SALT_V0 = 31
+_F32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass(frozen=True)
@@ -45,6 +44,8 @@ class SpikeNetConfig:
             raise ConfigError("kernel must be odd and >= 1")
         if self.depth < 1 or self.channels < 1:
             raise ConfigError("depth and channels must be >= 1")
+        if not max(self.lif.tau, self.lif.v_th, self.surrogate.alpha) <= _F32_MAX:
+            raise ConfigError("tau, v_th and alpha must fit EVSN's float32")
 
 
 def receptive_field(cfg: SpikeNetConfig) -> int:
@@ -81,9 +82,6 @@ class SpikeNetParams:
                   for i in range((len(tensors) - 4) // 4)]
         return cls(tensors[0], tensors[1], blocks, tensors[-2], tensors[-1])
 
-    def astype(self, dtype) -> "SpikeNetParams":
-        return SpikeNetParams.from_tensors([t.astype(dtype) for t in self.tensors()])
-
 
 def param_shapes(cfg: SpikeNetConfig) -> list[tuple[int, ...]]:
     c, k = cfg.channels, cfg.kernel
@@ -109,36 +107,49 @@ def init_params(cfg: SpikeNetConfig, seed: int = 0,
     return SpikeNetParams.from_tensors(tensors)
 
 
-def _im2col(x: np.ndarray, k: int, pad: int) -> np.ndarray:
-    """(B, C, T) zero-padded by pad per side -> (B*T_out, C*k) patch matrix,
-    T_out = T + 2*pad - k + 1.  The padded copy dies inside, so a caller that
-    consumes the patches at once never holds both."""
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
-    win = sliding_window_view(x, k, axis=2)             # (B, C, T_out, k)
-    b, c, t_out, _ = win.shape
-    return win.transpose(0, 2, 1, 3).reshape(b * t_out, c * k)
+def _padded(x: np.ndarray, pad: int) -> np.ndarray:
+    """(B, C, T) -> (C, B*(T + 2*pad)), each sequence zero-padded by pad per side."""
+    n_b, c, t = x.shape
+    xf = np.zeros((c, n_b, t + 2 * pad), x.dtype)
+    xf[:, :, pad:pad + t] = x.transpose(1, 0, 2)
+    return xf.reshape(c, -1)
+
+
+def _correlate(xf: np.ndarray, w: np.ndarray, n_b: int) -> np.ndarray:
+    """Bias-free 'same' correlation of a _padded buffer with (Co, Ci, k), as a
+    (B, Co, T) view: one GEMM per tap on a column-offset view covers the whole
+    batch, and columns whose window runs into the next sequence are dropped."""
+    taps = np.ascontiguousarray(np.moveaxis(w, 2, 0))  # (k, Co, Ci)
+    k = len(taps)
+    cols = xf.shape[1] - k + 1
+    y = np.empty((w.shape[0], xf.shape[1]), np.result_type(xf, w))
+    acc = np.matmul(taps[0], xf[:, :cols], out=y[:, :cols])
+    tmp = np.empty_like(acc)
+    for j in range(1, k):
+        acc += np.matmul(taps[j], xf[:, j:j + cols], out=tmp)
+    y = y.reshape(len(y), n_b, -1)
+    return y[:, :, :y.shape[2] - k + 1].transpose(1, 0, 2)
 
 
 def conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cross-correlate (B, Ci, T) with (Co, Ci, k) under 'same' zero padding."""
-    k = w.shape[2]
-    y = _im2col(x, k, (k - 1) // 2) @ w.reshape(w.shape[0], -1).T  # (B*T, Co)
-    return y.reshape(x.shape[0], x.shape[2], -1).transpose(0, 2, 1) + b[None, :, None]
+    y = _correlate(_padded(x, (w.shape[2] - 1) // 2), w, len(x))
+    y += b[None, :, None]
+    return y
 
 
 def conv1d_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray):
-    """Gradients (dw, db, dx) of conv1d for upstream grad gy (B, Co, T)."""
+    """Gradients (dw, db, dx) of conv1d for upstream grad gy (B, Co, T): dx
+    correlates gy with the kernel transposed and flipped in time (for odd k
+    again 'same'), and dw takes one GEMM per tap."""
     k = w.shape[2]
     pad = (k - 1) // 2
-    n_b, c_out, t = gy.shape
-    gmat = gy.transpose(1, 0, 2).reshape(c_out, n_b * t)
-    dw = (gmat @ _im2col(x, k, pad)).reshape(w.shape)
-    db = gy.sum(axis=(0, 2))
-    # dx is the 'full' correlation of gy with the kernel flipped in time
-    wf = w[:, :, ::-1].transpose(0, 2, 1).reshape(c_out * k, -1)  # (Co*k, Ci)
-    dxp = (_im2col(gy, k, k - 1) @ wf).reshape(n_b, t + 2 * pad, -1).transpose(0, 2, 1)
-    return dw, db, dxp[:, :, pad:pad + t]
+    gf, xf = _padded(gy, pad), _padded(x, pad)
+    cols = xf.shape[1] - k + 1
+    g_out = gf[:, pad:pad + cols]  # gy at each window's first column
+    dw = np.stack([g_out @ xf[:, j:j + cols].T for j in range(k)], axis=2)
+    dx = _correlate(gf, w.transpose(1, 0, 2)[:, :, ::-1], len(gy))
+    return dw, gy.sum(axis=(0, 2)), dx
 
 
 @dataclass
@@ -151,8 +162,6 @@ class ForwardCache:
     s_pres: list[np.ndarray]  # per block, pre-relu of the residual sum
     logits: np.ndarray     # (B, K)
     vprime: np.ndarray     # post-charge potentials (B, K)
-    spikes: np.ndarray     # hard spikes (B, K) int8
-    v0: np.ndarray
 
 
 def _as_batch(x) -> tuple[np.ndarray, bool]:
@@ -215,11 +224,10 @@ def forward(x, p: SpikeNetParams, cfg: SpikeNetConfig, v0=0.0,
     acts = {"z0": [], "hs": [], "z1s": [], "rs": [], "s_pres": []}
     logits = _conv_stack(x2d, p, acts)
 
-    v0_arr = np.broadcast_to(np.asarray(v0, logits.dtype), (x2d.shape[0],)).copy()
-    spikes, vprime, _ = bilif_fold(logits, cfg.lif, v0_arr)
+    spikes, vprime, _ = bilif_fold(logits, cfg.lif, v0)
     out = spikes if mode == "hard" else soft_bilif(vprime, cfg.lif, cfg.surrogate)
     cache = ForwardCache(x2d, acts["z0"][0], acts["hs"], acts["z1s"], acts["rs"],
-                         acts["s_pres"], logits, vprime, spikes, v0_arr)
+                         acts["s_pres"], logits, vprime)
     return (out[0] if squeeze else out), cache
 
 
@@ -240,10 +248,9 @@ def backward(grad_spikes, cache: ForwardCache, p: SpikeNetParams,
     # spike head: backprop through time over the membrane recursion
     sg = surrogate_grad(cache.vprime, cfg.lif, cfg.surrogate)
     decay = cfg.lif.decay
-    k = g.shape[1]
     dlogits = np.empty_like(cache.logits)
     carry = np.zeros(g.shape[0], dtype=cache.logits.dtype)
-    for t in range(k - 1, -1, -1):
+    for t in range(g.shape[1] - 1, -1, -1):
         gvp = g[:, t] * sg[:, t] + carry
         dlogits[:, t] = gvp
         carry = decay * gvp
@@ -264,8 +271,7 @@ def backward(grad_spikes, cache: ForwardCache, p: SpikeNetParams,
     dz0 = dh * (cache.z0 > 0)
     dw_in, db_in, dx = conv1d_backward(dz0, cache.x[:, None, :], p.w_in)
     grads = SpikeNetParams(dw_in, db_in, grad_blocks, dw_head, db_head)
-    dx2d = dx[:, 0, :]
-    return grads, (dx2d[0] if squeeze else dx2d)
+    return grads, (dx[0, 0] if squeeze else dx[:, 0])
 
 
 def _infer_rows(xpix: np.ndarray, p: SpikeNetParams, cfg: SpikeNetConfig,
@@ -290,19 +296,19 @@ def _infer_rows(xpix: np.ndarray, p: SpikeNetParams, cfg: SpikeNetConfig,
 
 
 def infer_stream(x: LogDiffSeq, p: SpikeNetParams, cfg: SpikeNetConfig,
-                 v0_mode: str = "zero", seed: int = 0, workers: int = 1,
+                 v0_mode: str = "zero", seed: int = 0,
                  chunk: int = 256) -> SpikeTrain:
     """Windowed streaming inference over a LogDiffSeq.
 
     Output is bit-identical to running forward() on each pixel's full
-    sequence; memory per pixel stays O(chunk + receptive field).  Pixels are
-    processed in fixed row blocks so the result never depends on the worker
-    count, and the membrane state is carried across chunk boundaries.
+    sequence; memory per pixel stays O(chunk + receptive field).  Pixels run
+    in fixed row blocks, one after another; the GEMMs inside parallelize
+    through BLAS threads.  The membrane state is carried across chunks.
     """
     if v0_mode not in ("zero", "uniform"):
         raise ConfigError("v0_mode must be 'zero' or 'uniform'")
-    if seed < 0:
-        raise ConfigError("seed must be >= 0")
+    if not 0 <= seed < 2**64:
+        raise ConfigError("seed must lie in [0, 2**64)")
     k, h, w = x.data.shape
     pix = x.data.transpose(1, 2, 0).reshape(h * w, k)  # (H*W, K), y-major
     if v0_mode == "zero":
@@ -315,18 +321,9 @@ def infer_stream(x: LogDiffSeq, p: SpikeNetParams, cfg: SpikeNetConfig,
 
     out = np.empty((h * w, k), dtype=np.int8)
     rows_per_block = max(1, 512 // max(w, 1))
-    blocks = [(r * w, min(r + rows_per_block, h) * w)
-              for r in range(0, h, rows_per_block)]
-
-    if workers <= 1:
-        for a, b in blocks:
-            _infer_rows(pix[a:b], p, cfg, v0[a:b], chunk, out[a:b])
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = [pool.submit(_infer_rows, pix[a:b], p, cfg, v0[a:b],
-                                chunk, out[a:b]) for a, b in blocks]
-            for f in futs:
-                f.result()
+    for r in range(0, h, rows_per_block):
+        a, b = r * w, min(r + rows_per_block, h) * w
+        _infer_rows(pix[a:b], p, cfg, v0[a:b], chunk, out[a:b])
     return SpikeTrain(x.width, x.height, x.fps, out.reshape(h, w, k).transpose(2, 0, 1))
 
 

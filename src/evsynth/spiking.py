@@ -1,9 +1,9 @@
-"""Leaky integrate-and-fire neurons, the bipolar variant, and the surrogate.
+"""Bipolar leaky integrate-and-fire neurons and their surrogate gradient.
 
 Dynamics per tick (reset by subtraction, scaled by the threshold):
 
     charge  v' = (1 - 1/tau) * v + i
-    fire    s  = sign(v') * [|v'| >= v_th]      (unipolar: s = [v' >= v_th])
+    fire    s  = sign(v') * [|v'| >= v_th]
     reset   v  = v' - s * v_th
 
 The fire test runs on the post-charge potential v'.  Training uses the fast
@@ -35,15 +35,6 @@ class LifParams:
         return 1.0 - 1.0 / self.tau
 
 
-@dataclass
-class NeuronState:
-    v: float = 0.0  # membrane potential
-
-    def __post_init__(self):
-        if not np.isfinite(self.v):
-            raise ValueError("membrane potential must be finite")
-
-
 @dataclass(frozen=True)
 class SurrogateConfig:
     alpha: float = 2.0  # sharpness of the arctangent surrogate
@@ -53,40 +44,15 @@ class SurrogateConfig:
             raise ConfigError("alpha must be positive")
 
 
-def lif_step(state: NeuronState, inp: float, p: LifParams) -> tuple[NeuronState, int]:
-    vp = p.decay * state.v + inp
-    s = 1 if vp >= p.v_th else 0
-    return NeuronState(vp - s * p.v_th), s
-
-
-def bilif_step(state: NeuronState, inp: float, p: LifParams) -> tuple[NeuronState, int]:
-    vp = p.decay * state.v + inp
-    if vp >= p.v_th:
-        s = 1
-    elif vp <= -p.v_th:
-        s = -1
-    else:
-        s = 0
-    return NeuronState(vp - s * p.v_th), s
-
-
-def bilif_sequence(x, p: LifParams, v0: float = 0.0,
-                   no_leak: bool = False) -> tuple[np.ndarray, NeuronState]:
-    """Fold bilif_step over a length-K input; returns spikes and final state."""
-    spikes, _, v = bilif_fold(np.asarray(x, np.float64)[None, :], p,
-                              np.float64(v0), no_leak=no_leak)
-    return spikes[0], NeuronState(float(v[0]))
-
-
-def bilif_fold(inputs: np.ndarray, p: LifParams, v0,
-               no_leak: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def bilif_fold(inputs: np.ndarray, p: LifParams,
+               v0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized bipolar fold over (B, K) inputs.
 
     Returns (spikes int8 (B,K), post-charge potentials (B,K), final v (B,)).
-    no_leak=True drops the decay term (perfect integrator), used by the
-    reference sensor path.
+    tau=inf gives a decay of exactly 1, the perfect integrator of the
+    reference sensor.
     """
-    decay = 1.0 if no_leak else p.decay
+    decay = p.decay
     b, k = inputs.shape
     v = np.broadcast_to(np.asarray(v0, inputs.dtype), (b,)).copy()
     spikes = np.empty((b, k), dtype=np.int8)

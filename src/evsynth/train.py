@@ -135,6 +135,7 @@ def evaluate_holdout(x: np.ndarray, e: np.ndarray, params: SpikeNetParams,
     return total_loss(e, spikes, lcfg).total
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train(data: list[DatasetPair], net_cfg: SpikeNetConfig, t_cfg: TrainConfig,
           checkpoint_dir=None, verbose: bool = False):
     """Train the network; returns (params, history).
@@ -142,6 +143,7 @@ def train(data: list[DatasetPair], net_cfg: SpikeNetConfig, t_cfg: TrainConfig,
     History rows are (epoch, train_loss, holdout_loss): the soft objective
     averaged over the epoch's steps and the hard-spike loss on held-out
     pixels.  When checkpoint_dir is given, a checkpoint is written per epoch.
+    A diverging run raises DivergenceError and prints no numpy warnings.
     """
     if not data:
         raise ValueError("empty dataset")

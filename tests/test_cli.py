@@ -236,7 +236,21 @@ def test_diverging_train_writes_no_checkpoint(tmp_path, capsys):
     assert not list(out.glob("epoch_*.evsn"))
 
 
-_SWEEP_VALUES = ("0", "-1", "nan", "inf", "-inf", "")
+def test_diverging_train_prints_one_line(tmp_path):
+    # a subprocess, since pytest would capture numpy's RuntimeWarnings
+    env = dict(os.environ, PYTHONPATH=str(Path(evsynth.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "evsynth.cli", "train", "--out",
+         str(tmp_path / "r"), "--set", "scene.width=4", "--set", "scene.height=4",
+         "--set", "scene.duration=0.02", "--set", "train.lr=1e300"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 3
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("evsynth: ")
+
+
+_SWEEP_VALUES = ("0", "-1", "nan", "inf", "-inf", "", "1e300")
+_HUGE_SEED = str(2**64)  # one past the u64 keys of rng.hash_u64
 _SWEEP_ROUTES = {"scene": ("gen",), "noise": ("gen",),
                  "lum": ("simulate", "infer"), "sim": ("simulate", "infer"),
                  "net": ("train", "infer"), "train": ("train",),
@@ -278,7 +292,13 @@ _SWEEP_CASES = [
                  id=f"{command}-{sec}.{key}={value}")
     for sec, keys in DEFAULTS.items() for key in keys
     for value in _SWEEP_VALUES for command in _SWEEP_ROUTES[sec]
-] + [pytest.param(command, ["--seed", "-1"], id=f"{command}-seed=-1")
+] + [
+    pytest.param(command, ["--set", f"{sec}.seed={_HUGE_SEED}"],
+                 id=f"{command}-{sec}.seed={_HUGE_SEED}")
+    for sec, keys in DEFAULTS.items() if "seed" in keys
+    for command in _SWEEP_ROUTES[sec]
+] + [pytest.param(command, ["--seed", value], id=f"{command}-seed={value}")
+     for value in ("-1", _HUGE_SEED)
      for command in ("gen", "simulate", "infer", "train", "eval", "hist")]
 
 

@@ -4,7 +4,8 @@ import pytest
 from evsynth.core import LogDiffSeq
 from evsynth.refsim import (RefSimConfig, naive_baseline,
                             pixel_thresholds, simulate)
-from evsynth.spiking import LifParams, bilif_sequence
+from evsynth.spiking import LifParams
+from lif_oracle import bilif_sequence
 
 
 def seq(data, fps=1000.0):
@@ -115,11 +116,10 @@ def test_matches_bilif_in_no_leak_limit(rng):
     cfg = RefSimConfig(theta=0.3, **NOISELESS)
     x = rng.normal(0, 0.3, size=(64, 5, 7)).astype(np.float32)
     train = simulate(seq(x), cfg)
-    p = LifParams(tau=2.0, v_th=cfg.theta)
+    p = LifParams(tau=np.inf, v_th=cfg.theta)
     for y in range(5):
         for xx in range(7):
-            spikes, _ = bilif_sequence(x[:, y, xx].astype(np.float64), p,
-                                       no_leak=True)
+            spikes, _ = bilif_sequence(x[:, y, xx].astype(np.float64), p)
             assert np.array_equal(spikes, train.data[:, y, xx])
 
 

@@ -1,15 +1,22 @@
+import os
 import struct
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import evsynth
+from evsynth import cli
 from evsynth.core import LogDiffSeq
 from evsynth.errors import FormatError, ShapeError
+from evsynth.formats import read_evt1
 from evsynth.spikenet import (BlockParams, SpikeNetConfig, SpikeNetParams,
-                              backward, conv1d, forward, infer_stream,
-                              init_params, load_checkpoint, receptive_field,
-                              save_checkpoint)
+                              backward, conv1d, conv1d_backward, forward,
+                              infer_stream, init_params, load_checkpoint,
+                              receptive_field, save_checkpoint)
 
 
 def small_cfg(**kw):
@@ -33,6 +40,39 @@ def test_conv_hand_example():
     y = conv1d(np.array([[[0.0, 1.0, 0.0]]]), np.array([[[1.0, 2.0, 3.0]]]),
                np.zeros(1))
     assert y[0, 0].tolist() == [3.0, 2.0, 1.0]
+
+
+def _conv_reference(x, w):
+    """Direct nested sum of y[b, o, t] = sum_{i,j} w[o, i, j] x[b, i, t+j-pad]."""
+    n_b, _, t_len = x.shape
+    k = w.shape[2]
+    pad = (k - 1) // 2
+    y = np.zeros((n_b, w.shape[0], t_len))
+    for t in range(t_len):
+        for j in range(k):
+            s = t + j - pad
+            if 0 <= s < t_len:
+                y[:, :, t] += x[:, :, s] @ w[:, :, j].T
+    return y
+
+
+@pytest.mark.parametrize("t_len", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("k", [1, 3, 7])
+def test_conv_pair_matches_oracle_on_short_sequences(k, t_len):
+    gen = np.random.default_rng(100 * k + t_len)
+    x = gen.normal(size=(3, 4, t_len))
+    w = gen.normal(size=(5, 4, k))
+    b = gen.normal(size=5)
+    gy = gen.normal(size=(3, 5, t_len))
+    y = conv1d(x, w, b)
+    assert np.allclose(y, _conv_reference(x, w) + b[None, :, None],
+                       rtol=0, atol=1e-12)
+    dw, db, dx = conv1d_backward(gy, x, w)
+    assert np.array_equal(db, gy.sum((0, 2)))
+    # adjoint identities: <conv(x, w), gy> = <x, dx> = <w, dw>
+    inner = float((conv1d(x, w, np.zeros(5)) * gy).sum())
+    assert float((x * dx).sum()) == pytest.approx(inner, rel=0, abs=1e-9)
+    assert float((w * dw).sum()) == pytest.approx(inner, rel=0, abs=1e-9)
 
 
 def test_receptive_field_formula():
@@ -142,7 +182,6 @@ def test_conv_stack_gradients_match_finite_differences():
     fd = _fd_grad(loss_fn, params)
 
     # analytic: the same chain backward() uses, seeded at dlogits = r
-    from evsynth.spikenet import conv1d_backward
     dw_head, db_head, dh = conv1d_backward(r[:, None, :], cache.hs[-1], params.w_head)
     blocks = []
     for i in range(len(params.blocks) - 1, -1, -1):
@@ -224,15 +263,27 @@ def test_streaming_matches_batch_forward(rng, kernel, depth, k, chunk):
     assert np.abs(stream.data).sum() > 0  # the comparison is not vacuous
 
 
-def test_streaming_worker_invariance(rng):
-    cfg = SpikeNetConfig(channels=4, kernel=7, depth=1)
-    params = noisy_params(cfg, 2, dtype=np.float32)
-    data = rng.normal(0, 0.8, size=(64, 24, 8)).astype(np.float32)
-    seq = LogDiffSeq(8, 24, 1000.0, data)
-    base = infer_stream(seq, params, cfg, chunk=50)
-    for w in (2, 4, 8):
-        assert np.array_equal(infer_stream(seq, params, cfg, chunk=50,
-                                           workers=w).data, base.data)
+def test_infer_output_independent_of_blas_threads(tmp_path):
+    # default-size net, so each per-tap GEMM is big enough for BLAS to split
+    clip, ckpt = tmp_path / "clip.fseq", tmp_path / "model.evsn"
+    assert cli.main(["gen", "--out", str(clip), "--set", "scene.kind=mixed",
+                     "--set", "scene.width=32", "--set", "scene.height=32",
+                     "--set", "scene.duration=0.1"]) == 0
+    cfg = SpikeNetConfig()
+    save_checkpoint(ckpt, init_params(cfg, 0), cfg)
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}.evt1"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(evsynth.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "evsynth.cli", "infer", str(clip), str(ckpt),
+             "--out", str(out)], capture_output=True, text=True, env=env,
+            timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    assert len(read_evt1(tmp_path / "t1.evt1")) > 0
 
 
 def test_streaming_uniform_init_mode(rng):
