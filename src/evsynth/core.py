@@ -35,7 +35,10 @@ def tick_to_us(k, fps: float) -> np.ndarray:
 
 
 def us_to_tick(t, fps: float) -> np.ndarray:
-    """Inverse of tick_to_us (exact for any fps <= 1e6)."""
+    """Inverse of tick_to_us, which is exact for fps <= 1e6: one tick per
+    microsecond timestamp at most, the rule voxelize's bin_fps follows."""
+    if not 0 < fps <= US_PER_S:
+        raise ConfigError("fps must lie in (0, 1e6], one tick per us timestamp at most")
     return np.rint(np.asarray(t, dtype=np.float64) * fps / US_PER_S).astype(np.int64)
 
 
@@ -180,12 +183,10 @@ def dense_to_sparse(s: SpikeTrain) -> EventList:
 
 def sparse_to_dense(e: EventList, fps: float, k: int) -> SpikeTrain:
     """Exact inverse of dense_to_sparse under matching fps/K."""
-    if not 0 < fps < np.inf:
-        raise ConfigError("fps must be finite and positive")
-    data = np.zeros((k, e.height, e.width), dtype=np.int8)
     r = e.records
+    ticks = us_to_tick(r["t"], fps)  # checks fps even with no records
+    data = np.zeros((k, e.height, e.width), dtype=np.int8)
     if r.size:
-        ticks = us_to_tick(r["t"], fps)
         if ticks.min() < 0 or ticks.max() >= k:
             raise RangeError(f"timestamps map outside [0, {k}) at fps={fps}")
         flat = (ticks * e.height + r["y"].astype(np.int64)) * e.width + r["x"]

@@ -48,8 +48,9 @@ def intensity_histogram(e: EventList, bin_fps: float = 60.0, buckets: int = 32,
     Bucket i counts pixel-bins holding exactly i events; the last bucket is an
     overflow for >= buckets-1, keeping the high-intensity tail visible.
     """
-    if buckets < 1:
-        raise ConfigError("buckets must be >= 1")
+    if not 1 <= buckets <= 2**32:
+        raise ConfigError("buckets must lie in [1, 2**32]: EVT1's u32 event "
+                          "count bounds a pixel-bin's count")
     grid = voxelize(e, bin_fps, duration_us)
     counts = np.minimum(grid.unsigned.reshape(-1), buckets - 1)
     return np.bincount(counts, minlength=buckets).astype(np.int64)

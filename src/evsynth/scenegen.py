@@ -19,6 +19,8 @@ from .errors import ConfigError
 KINDS = ("moving_edge", "grating", "flashing_light", "mixed")
 
 _SALT_NOISE = 11
+_U16_MAX = 65535
+_F32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass(frozen=True)
@@ -37,8 +39,10 @@ class SceneSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown scene kind {self.kind!r}")
-        if self.width <= 0 or self.height <= 0 or self.fps <= 0:
-            raise ConfigError("dims and fps must be positive")
+        if not (0 < self.width <= _U16_MAX and 0 < self.height <= _U16_MAX):
+            raise ConfigError("width and height must lie in [1, 65535] (FSEQ's u16)")
+        if not 0 < self.fps <= _F32_MAX:
+            raise ConfigError("fps must be positive and fit FSEQ's float32")
         if not 0 <= self.contrast <= 1:
             raise ConfigError("contrast must lie in [0, 1]")
         if not np.isfinite(self.velocity):
@@ -66,8 +70,8 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        if self.spp < 1:
-            raise ConfigError("spp must be >= 1")
+        if not 1 <= self.spp < 2**63:
+            raise ConfigError("spp must lie in [1, 2**63)")
         if self.gain < 0:
             raise ConfigError("gain must be >= 0")
         if not 0 <= self.seed < 2**64:
@@ -173,6 +177,6 @@ def add_render_noise(f: FrameSeq, m: NoiseModel) -> FrameSeq:
     )
     with np.errstate(over="ignore", invalid="ignore"):
         noisy = np.maximum(f.frames.astype(np.float64) * (1.0 + m.sigma * z), 0.0)
-    if not noisy.max() <= np.finfo(np.float32).max:
+    if not noisy.max() <= _F32_MAX:
         raise ConfigError("render noise overflows float32 frames; lower the gain")
     return FrameSeq(f.width, f.height, f.fps, noisy.astype(np.float32))

@@ -29,6 +29,7 @@ from .spiking import (LifParams, SurrogateConfig, bilif_fold, soft_bilif,
 
 _SALT_V0 = 31
 _F32_MAX = float(np.finfo(np.float32).max)
+_TILE = 4096  # output columns per conv GEMM
 
 
 @dataclass(frozen=True)
@@ -42,8 +43,10 @@ class SpikeNetConfig:
     def __post_init__(self):
         if self.kernel < 1 or self.kernel % 2 == 0:
             raise ConfigError("kernel must be odd and >= 1")
-        if self.depth < 1 or self.channels < 1:
-            raise ConfigError("depth and channels must be >= 1")
+        if not (1 <= self.depth <= 2**24 and 1 <= self.channels <= 2**24
+                and self.kernel <= 2**24):
+            raise ConfigError("channels, kernel and depth must lie in "
+                              "[1, 2**24] (EVSN stores them as float32)")
         if not max(self.lif.tau, self.lif.v_th, self.surrogate.alpha) <= _F32_MAX:
             raise ConfigError("tau, v_th and alpha must fit EVSN's float32")
 
@@ -115,41 +118,73 @@ def _padded(x: np.ndarray, pad: int) -> np.ndarray:
     return xf.reshape(c, -1)
 
 
-def _correlate(xf: np.ndarray, w: np.ndarray, n_b: int) -> np.ndarray:
-    """Bias-free 'same' correlation of a _padded buffer with (Co, Ci, k), as a
-    (B, Co, T) view: one GEMM per tap on a column-offset view covers the whole
-    batch, and columns whose window runs into the next sequence are dropped."""
-    taps = np.ascontiguousarray(np.moveaxis(w, 2, 0))  # (k, Co, Ci)
-    k = len(taps)
-    cols = xf.shape[1] - k + 1
-    y = np.empty((w.shape[0], xf.shape[1]), np.result_type(xf, w))
-    acc = np.matmul(taps[0], xf[:, :cols], out=y[:, :cols])
-    tmp = np.empty_like(acc)
-    for j in range(1, k):
-        acc += np.matmul(taps[j], xf[:, j:j + cols], out=tmp)
-    y = y.reshape(len(y), n_b, -1)
+def _correlate(xf: np.ndarray, w: np.ndarray, n_b: int, b=None,
+               on_tile=None) -> np.ndarray:
+    """'Same' correlation of a _padded buffer (Ci, L) with (Co, Ci, k), plus
+    bias b if given, as a (B, Co, T) view.
+
+    Per tile of _TILE window starts a, row block j of one reused unfold
+    buffer u (k*Ci, _TILE) takes xf[:, a+j : a+j+_TILE] (zero past the last
+    start), and one (Co, k*Ci) @ u GEMM gives the tile's outputs.  Every GEMM
+    has that one shape, so BLAS picks the same kernel for every column and a
+    column's value does not depend on the batch or the window around it.
+    Columns whose window runs into the next sequence are dropped.
+    on_tile(a, u_valid), when given, sees each tile's filled unfold columns.
+    """
+    co, ci, k = w.shape
+    width = xf.shape[1]
+    cols = width - k + 1
+    w2 = w.transpose(0, 2, 1).reshape(co, k * ci)  # tap-major, like u's rows
+    u = np.empty((k, ci, _TILE), xf.dtype)
+    u2 = u.reshape(k * ci, _TILE)
+    y = np.empty((co, width), np.result_type(xf, w))
+    for a in range(0, cols, _TILE):
+        n = min(_TILE, cols - a)
+        for j in range(k):
+            u[j, :, :n] = xf[:, a + j:a + j + n]
+        u[:, :, n:] = 0
+        # A short last tile runs into scratch, so y keeps the input's width:
+        # rounded up to whole tiles, its row stride could be a power of two,
+        # and cache-set conflicts then slowed the ReLUs on it about 2x.
+        full = n == _TILE
+        y_tile = y[:, a:a + n] if full else np.empty((co, _TILE), y.dtype)
+        np.matmul(w2, u2, out=y_tile)
+        if b is not None:
+            y_tile += b[:, None]
+        if not full:
+            y[:, a:a + n] = y_tile[:, :n]
+        if on_tile is not None:
+            on_tile(a, u2[:, :n])
+    y = y.reshape(co, n_b, -1)
     return y[:, :, :y.shape[2] - k + 1].transpose(1, 0, 2)
 
 
 def conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cross-correlate (B, Ci, T) with (Co, Ci, k) under 'same' zero padding."""
-    y = _correlate(_padded(x, (w.shape[2] - 1) // 2), w, len(x))
-    y += b[None, :, None]
-    return y
+    return _correlate(_padded(x, (w.shape[2] - 1) // 2), w, len(x), b)
 
 
 def conv1d_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray):
-    """Gradients (dw, db, dx) of conv1d for upstream grad gy (B, Co, T): dx
-    correlates gy with the kernel transposed and flipped in time (for odd k
-    again 'same'), and dw takes one GEMM per tap."""
-    k = w.shape[2]
+    """Gradients (dw, db, dx) of conv1d for upstream grad gy (B, Co, T).
+
+    dx correlates gy with the kernel transposed and flipped in time (for odd
+    k again 'same').  That unfolds gy: row (k-1-j, o) of a tile holds
+    gy[o, s + pad - j] at column s, so the same unfold times x's columns
+    gives dw[o, :, j] = sum_s gy[o, s + pad - j] x[:, s], tile by tile.
+    """
+    co, ci, k = w.shape
     pad = (k - 1) // 2
     gf, xf = _padded(gy, pad), _padded(x, pad)
-    cols = xf.shape[1] - k + 1
-    g_out = gf[:, pad:pad + cols]  # gy at each window's first column
-    dw = np.stack([g_out @ xf[:, j:j + cols].T for j in range(k)], axis=2)
-    dx = _correlate(gf, w.transpose(1, 0, 2)[:, :, ::-1], len(gy))
-    return dw, gy.sum(axis=(0, 2)), dx
+    x_cols = xf[:, pad:xf.shape[1] - pad]  # x at each dx column
+    dw_rows = np.zeros((k * co, ci), np.result_type(gy, x))  # row (k-1-j, o)
+
+    def add_dw(a, u):
+        dw_rows[:] += u @ x_cols[:, a:a + u.shape[1]].T
+
+    dx = _correlate(gf, w.transpose(1, 0, 2)[:, :, ::-1], len(gy),
+                    on_tile=add_dw)
+    dw = dw_rows.reshape(k, co, ci)[::-1].transpose(1, 2, 0)
+    return np.ascontiguousarray(dw), gy.sum(axis=(0, 2)), dx
 
 
 @dataclass

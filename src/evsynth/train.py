@@ -22,6 +22,7 @@ from .luminance import LuminanceConfig, log_diff_sequence
 from .refsim import RefSimConfig
 from .scenegen import NoiseModel, SceneSpec
 from .spikenet import SpikeNetConfig, SpikeNetParams
+from .spiking import bilif_fold
 
 
 @dataclass(frozen=True)
@@ -130,8 +131,11 @@ def holdout_split(n_pix: int, t_cfg: TrainConfig) -> tuple[np.ndarray, np.ndarra
 
 def evaluate_holdout(x: np.ndarray, e: np.ndarray, params: SpikeNetParams,
                      cfg: SpikeNetConfig, lcfg: LossConfig) -> float:
-    """Hard-spike total loss over a pixel set (evaluation mode)."""
-    spikes, _ = spikenet.forward(x, params, cfg, mode="hard")
+    """Hard-spike total loss over a pixel set (evaluation mode).
+
+    The spikes are forward(x, mode="hard")'s, taken from the conv stack's
+    no-record path: no activations are kept for a backward pass."""
+    spikes, _, _ = bilif_fold(spikenet._conv_stack(x, params), cfg.lif, 0.0)
     return total_loss(e, spikes, lcfg).total
 
 

@@ -250,7 +250,7 @@ def test_diverging_train_prints_one_line(tmp_path):
 
 
 _SWEEP_VALUES = ("0", "-1", "nan", "inf", "-inf", "", "1e300")
-_HUGE_SEED = str(2**64)  # one past the u64 keys of rng.hash_u64
+_HUGE_INT = str(2**64)  # one past the u64 keys of rng.hash_u64
 _SWEEP_ROUTES = {"scene": ("gen",), "noise": ("gen",),
                  "lum": ("simulate", "infer"), "sim": ("simulate", "infer"),
                  "net": ("train", "infer"), "train": ("train",),
@@ -293,12 +293,14 @@ _SWEEP_CASES = [
     for sec, keys in DEFAULTS.items() for key in keys
     for value in _SWEEP_VALUES for command in _SWEEP_ROUTES[sec]
 ] + [
-    pytest.param(command, ["--set", f"{sec}.seed={_HUGE_SEED}"],
-                 id=f"{command}-{sec}.seed={_HUGE_SEED}")
-    for sec, keys in DEFAULTS.items() if "seed" in keys
+    pytest.param(command, ["--set", f"{sec}.{key}={_HUGE_INT}"],
+                 id=f"{command}-{sec}.{key}={_HUGE_INT}")
+    for sec, keys in DEFAULTS.items() for key, default in keys.items()
+    # every int key but train.epochs: 2**64 epochs is a long run, not a bad value
+    if type(default) is int and key != "epochs"
     for command in _SWEEP_ROUTES[sec]
 ] + [pytest.param(command, ["--seed", value], id=f"{command}-seed={value}")
-     for value in ("-1", _HUGE_SEED)
+     for value in ("-1", _HUGE_INT)
      for command in ("gen", "simulate", "infer", "train", "eval", "hist")]
 
 
@@ -323,7 +325,9 @@ def test_adversarial_config_value_ends_in_exit_code(tmp_path, capsys,
     ("gen", "--set scene.spatial_freq=nan"),
     ("gen", "--set scene.flash_period=nan"),
     ("simulate", "--set sim.sigma_theta=nan"),
-    ("simulate", "--set sim.leak_rate=inf"),
+    ("simulate", "--set sim.leak_rate=inf"), ("eval", "--set eval.fps=1e300"),
+    ("gen", "--set scene.width=70000"),
+    ("gen", "--set scene.fps=1e39 --set scene.duration=2e-36"),
 ])
 def test_out_of_range_value_exits_1(tmp_path, capsys, sweep_inputs, command,
                                     bad):

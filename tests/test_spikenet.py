@@ -56,9 +56,21 @@ def _conv_reference(x, w):
     return y
 
 
-@pytest.mark.parametrize("t_len", [1, 2, 3, 5, 8])
-@pytest.mark.parametrize("k", [1, 3, 7])
-def test_conv_pair_matches_oracle_on_short_sequences(k, t_len):
+# A small odd tile width makes conv tiles split sequences and taps.
+_SMALL_TILE = 5
+
+
+def _set_tile(monkeypatch, tile):
+    if tile is not None:
+        monkeypatch.setattr("evsynth.spikenet._TILE", tile)
+
+
+@pytest.mark.parametrize("k,t_len,tile", [
+    pytest.param(k, t_len, tile, id=f"{k}-{t_len}" + (f"-tile{tile}" if tile else ""))
+    for tile in (None, _SMALL_TILE) for k in (1, 3, 7) for t_len in (1, 2, 3, 5, 8)
+])
+def test_conv_pair_matches_oracle_on_short_sequences(monkeypatch, k, t_len, tile):
+    _set_tile(monkeypatch, tile)
     gen = np.random.default_rng(100 * k + t_len)
     x = gen.normal(size=(3, 4, t_len))
     w = gen.normal(size=(5, 4, k))
@@ -73,6 +85,19 @@ def test_conv_pair_matches_oracle_on_short_sequences(k, t_len):
     inner = float((conv1d(x, w, np.zeros(5)) * gy).sum())
     assert float((x * dx).sum()) == pytest.approx(inner, rel=0, abs=1e-9)
     assert float((w * dw).sum()) == pytest.approx(inner, rel=0, abs=1e-9)
+
+
+@pytest.mark.parametrize("tile", [None, _SMALL_TILE], ids=["default", "small"])
+@pytest.mark.parametrize("ci,co,k", [(1, 32, 7), (32, 32, 7), (32, 1, 1)])
+def test_conv1d_on_a_batch_equals_conv1d_on_its_halves(monkeypatch, ci, co, k,
+                                                        tile):
+    _set_tile(monkeypatch, tile)
+    gen = np.random.default_rng(ci + co + k)
+    x = gen.normal(size=(48, ci, 150)).astype(np.float32)
+    w = gen.normal(size=(co, ci, k)).astype(np.float32)
+    b = gen.normal(size=co).astype(np.float32)
+    halves = np.concatenate([conv1d(x[:17], w, b), conv1d(x[17:], w, b)])
+    assert np.array_equal(conv1d(x, w, b), halves)
 
 
 def test_receptive_field_formula():
@@ -242,16 +267,23 @@ def test_input_gradient_matches_finite_differences():
     assert np.abs(dx - fd).max() <= 1e-5 * np.abs(fd).max()
 
 
-@pytest.mark.parametrize("kernel,depth,k,chunk", [
-    (5, 2, 200, 37),   # ragged last chunk
-    (1, 2, 50, 7),     # kernel 1: no halo
-    (7, 3, 15, 4),     # K shorter than the halo of 21
-    (5, 1, 30, 1),     # one tick per chunk
-    (5, 2, 40, 64),    # one chunk holds all of K
-    (3, 2, 96, 32),    # K an exact multiple of chunk
-], ids=["ragged", "kernel1", "K_under_halo", "chunk1", "chunk_over_K",
-        "K_multiple_of_chunk"])
-def test_streaming_matches_batch_forward(rng, kernel, depth, k, chunk):
+_STREAM_CASES = {
+    "ragged": (5, 2, 200, 37),            # ragged last chunk
+    "kernel1": (1, 2, 50, 7),             # kernel 1: no halo
+    "K_under_halo": (7, 3, 15, 4),        # K shorter than the halo of 21
+    "chunk1": (5, 1, 30, 1),              # one tick per chunk
+    "chunk_over_K": (5, 2, 40, 64),       # one chunk holds all of K
+    "K_multiple_of_chunk": (3, 2, 96, 32),  # K an exact multiple of chunk
+}
+
+
+@pytest.mark.parametrize("kernel,depth,k,chunk,tile", [
+    pytest.param(*case, tile, id=name + (f"-tile{tile}" if tile else ""))
+    for tile in (None, _SMALL_TILE) for name, case in _STREAM_CASES.items()
+])
+def test_streaming_matches_batch_forward(monkeypatch, rng, kernel, depth, k,
+                                         chunk, tile):
+    _set_tile(monkeypatch, tile)
     cfg = SpikeNetConfig(channels=8, kernel=kernel, depth=depth)
     params = noisy_params(cfg, 9, dtype=np.float32)
     data = rng.normal(0, 0.8, size=(k, 8, 8)).astype(np.float32)
@@ -264,7 +296,7 @@ def test_streaming_matches_batch_forward(rng, kernel, depth, k, chunk):
 
 
 def test_infer_output_independent_of_blas_threads(tmp_path):
-    # default-size net, so each per-tap GEMM is big enough for BLAS to split
+    # default-size net, so each tile's GEMM is big enough for BLAS to split
     clip, ckpt = tmp_path / "clip.fseq", tmp_path / "model.evsn"
     assert cli.main(["gen", "--out", str(clip), "--set", "scene.kind=mixed",
                      "--set", "scene.width=32", "--set", "scene.height=32",
@@ -366,16 +398,15 @@ def test_throughput_scales_with_pixel_count(rng):
     cfg = SpikeNetConfig(channels=8, kernel=5, depth=2)
     params = init_params(cfg, 1, dtype=np.float32)
 
-    def run(n):
-        data = rng.normal(0, 0.5, size=(128, n, n)).astype(np.float32)
-        seq = LogDiffSeq(n, n, 1000.0, data)
-        best = np.inf
-        for _ in range(3):
+    seqs = {n: LogDiffSeq(n, n, 1000.0, rng.normal(0, 0.5, size=(128, n, n))
+                          .astype(np.float32)) for n in (32, 64)}
+    infer_stream(seqs[32], params, cfg)  # warm-up
+    best = {n: np.inf for n in seqs}
+    # interleaved, so a slow spell of a shared machine hits both sizes
+    for _ in range(5):
+        for n, seq in seqs.items():
             t0 = time.perf_counter()
             infer_stream(seq, params, cfg)
-            best = min(best, time.perf_counter() - t0)
-        return best
-
-    run(32)  # warm-up
-    ratio = run(64) / run(32)
+            best[n] = min(best[n], time.perf_counter() - t0)
+    ratio = best[64] / best[32]
     assert 3.2 <= ratio <= 4.8

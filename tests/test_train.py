@@ -5,10 +5,11 @@ from evsynth.core import LogDiffSeq, SpikeTrain
 from evsynth.errors import ConfigError, DivergenceError
 from evsynth.refsim import RefSimConfig
 from evsynth.scenegen import NoiseModel, SceneSpec, bar_edges
-from evsynth.spikenet import SpikeNetConfig, forward
+from evsynth.loss import LossConfig, total_loss
+from evsynth.spikenet import SpikeNetConfig, forward, init_params
 from evsynth.train import (AdamState, DatasetPair, TrainConfig,
-                           adam_step, clip_global_norm, make_dataset, train,
-                           write_history_csv)
+                           adam_step, clip_global_norm, evaluate_holdout,
+                           make_dataset, train, write_history_csv)
 
 QUIET = RefSimConfig(theta=0.2, sigma_theta=0.0, init_mode="zero",
                      leak_rate=0.0, shot_rate=0.0)
@@ -176,6 +177,19 @@ def test_holdout_pixels_never_contribute_gradients():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_holdout_loss_equals_hard_forward_loss():
+    cfg = SpikeNetConfig(channels=8, kernel=5, depth=2)
+    params = init_params(cfg, 3)
+    gen = np.random.default_rng(5)
+    x = gen.normal(0, 0.8, size=(40, 96)).astype(np.float32)
+    e = gen.integers(-1, 2, size=(40, 96)).astype(np.int8)
+    lcfg = LossConfig(0.1)
+    spikes, _ = forward(x, params, cfg, mode="hard")
+    assert np.abs(spikes).sum() > 0  # the comparison is not vacuous
+    want = total_loss(e, spikes, lcfg).total
+    assert evaluate_holdout(x, e, params, cfg, lcfg) == want
+
+
 def test_divergence_raises():
     pairs = _tiny_dataset()
     tcfg = TrainConfig(epochs=3, batch=32, lr=1e18, clip=1e18, seed=0)
