@@ -58,8 +58,8 @@ class FrameSeq:
                              f"(n, {self.height}, {self.width}, 3)")
         if self.frames.shape[0] < 2:
             raise ValueError("need at least 2 frames")
-        if not self.fps > 0:
-            raise ValueError("fps must be positive")
+        if not 0 < self.fps <= US_PER_S:
+            raise ValueError("fps must lie in (0, 1e6], one tick per us timestamp at most")
         if not np.all(np.isfinite(self.frames)) or self.frames.min() < 0:
             raise ValueError("frame values must be finite and non-negative")
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .core import FrameSeq
+from .core import US_PER_S, FrameSeq
 from .errors import ConfigError
 
 KINDS = ("moving_edge", "grating", "flashing_light", "mixed")
@@ -41,8 +41,8 @@ class SceneSpec:
             raise ConfigError(f"unknown scene kind {self.kind!r}")
         if not (0 < self.width <= _U16_MAX and 0 < self.height <= _U16_MAX):
             raise ConfigError("width and height must lie in [1, 65535] (FSEQ's u16)")
-        if not 0 < self.fps <= _F32_MAX:
-            raise ConfigError("fps must be positive and fit FSEQ's float32")
+        if not 0 < self.fps <= US_PER_S:
+            raise ConfigError("fps must lie in (0, 1e6], one tick per us timestamp at most")
         if not 0 <= self.contrast <= 1:
             raise ConfigError("contrast must lie in [0, 1]")
         if not np.isfinite(self.velocity):

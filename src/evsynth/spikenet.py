@@ -110,91 +110,172 @@ def init_params(cfg: SpikeNetConfig, seed: int = 0,
     return SpikeNetParams.from_tensors(tensors)
 
 
-def _padded(x: np.ndarray, pad: int) -> np.ndarray:
-    """(B, C, T) -> (C, B*(T + 2*pad)), each sequence zero-padded by pad per side."""
+def _interior(buf: np.ndarray, p: int) -> np.ndarray:
+    """The (B, C, T) view of a (C, B, T + 2p) padded buffer."""
+    return buf[:, :, p:buf.shape[2] - p].transpose(1, 0, 2)
+
+
+def _padded(x: np.ndarray, pad: int, exact: bool = False):
+    """(C, B*(T + 2P)) zero-padded channel-major buffer of x (B, C, T), and P.
+
+    x's own buffer when x is the interior view of a C-contiguous
+    (C, B, T + 2P) array with P >= pad (P == pad if exact) whose pad columns
+    are all zero, else a copy with P = pad.  Checking the pad columns reads
+    2P/(T + 2P) of the buffer; an array of that shape with anything but
+    zeros there is not a padded buffer.
+    """
     n_b, c, t = x.shape
-    xf = np.zeros((c, n_b, t + 2 * pad), x.dtype)
-    xf[:, :, pad:pad + t] = x.transpose(1, 0, 2)
-    return xf.reshape(c, -1)
+    base = x.base
+    if (isinstance(base, np.ndarray) and base.ndim == 3
+            and base.flags.c_contiguous and base.dtype == x.dtype
+            and base.shape[:2] == (c, n_b) and (base.shape[2] - t) % 2 == 0):
+        p = (base.shape[2] - t) // 2
+        inner = _interior(base, p)
+        if ((p == pad if exact else p >= pad)
+                and inner.ctypes.data == x.ctypes.data
+                and all(n == 1 or s == r for n, s, r
+                        in zip(x.shape, x.strides, inner.strides))
+                and not base[:, :, :p].any() and not base[:, :, p + t:].any()):
+            return base.reshape(c, -1), p
+    buf = np.zeros((c, n_b, t + 2 * pad), x.dtype)
+    _interior(buf, pad)[:] = x
+    return buf.reshape(c, -1), pad
 
 
-def _correlate(xf: np.ndarray, w: np.ndarray, n_b: int, b=None,
-               on_tile=None) -> np.ndarray:
-    """'Same' correlation of a _padded buffer (Ci, L) with (Co, Ci, k), plus
-    bias b if given, as a (B, Co, T) view.
+def _unfold_tiles(xf: np.ndarray, off: int, k: int, cols: int):
+    """Iterator of (a, n, u) per tile of _TILE window starts a..a+n-1 over xf.
 
-    Per tile of _TILE window starts a, row block j of one reused unfold
-    buffer u (k*Ci, _TILE) takes xf[:, a+j : a+j+_TILE] (zero past the last
-    start), and one (Co, k*Ci) @ u GEMM gives the tile's outputs.  Every GEMM
-    has that one shape, so BLAS picks the same kernel for every column and a
-    column's value does not depend on the batch or the window around it.
-    Columns whose window runs into the next sequence are dropped.
+    Row block j of u (k*Ci, _TILE) holds xf[:, off+a+j : off+a+j+n], and its
+    columns past n are zero.  A full tile of a k=1 conv is xf's own columns,
+    with no copy; every other tile is copied into one buffer, allocated by
+    this call.
+    """
+    u = np.empty((k, xf.shape[0], _TILE), xf.dtype)
+    u2 = u.reshape(-1, _TILE)
+
+    def tiles():
+        for a in range(0, cols, _TILE):
+            n = min(_TILE, cols - a)
+            if k == 1 and n == _TILE:
+                yield a, n, xf[:, off + a:off + a + n]
+                continue
+            for j in range(k):
+                u[j, :, :n] = xf[:, off + a + j:off + a + j + n]
+            u[:, :, n:] = 0
+            yield a, n, u2
+    return tiles()
+
+
+def _correlate(xf: np.ndarray, p: int, w: np.ndarray, n_b: int, b=None,
+               rf=None, relu: bool = False, on_tile=None) -> np.ndarray:
+    """'Same' correlation of a _padded buffer (Ci, B*(T+2p)) with (Co, Ci, k).
+
+    Returns the (B, Co, T) interior view of a new buffer padded like xf.
+    Each tile's outputs get, in this order, the bias b, the residual rf (a
+    buffer laid out like the output) and the ReLU while they are in cache.
+
+    Every GEMM has the one shape (Co, k*Ci) @ (k*Ci, _TILE), so BLAS picks
+    the same kernel for every column and a column's value does not depend on
+    the batch or the window around it.  Window start p - pad + s gives the
+    output at buffer column p + s; columns whose window runs into the next
+    sequence land on pad columns and are zeroed after the last tile.
     on_tile(a, u_valid), when given, sees each tile's filled unfold columns.
     """
     co, ci, k = w.shape
     width = xf.shape[1]
-    cols = width - k + 1
+    cols = width - 2 * p
     w2 = w.transpose(0, 2, 1).reshape(co, k * ci)  # tap-major, like u's rows
-    u = np.empty((k, ci, _TILE), xf.dtype)
-    u2 = u.reshape(k * ci, _TILE)
-    y = np.empty((co, width), np.result_type(xf, w))
-    for a in range(0, cols, _TILE):
-        n = min(_TILE, cols - a)
-        for j in range(k):
-            u[j, :, :n] = xf[:, a + j:a + j + n]
-        u[:, :, n:] = 0
-        # A short last tile runs into scratch, so y keeps the input's width:
-        # rounded up to whole tiles, its row stride could be a power of two,
-        # and cache-set conflicts then slowed the ReLUs on it about 2x.
+    # The unfold buffer comes first: freed below y, its pages serve the next
+    # conv's unfold instead of being faulted in again, as glibc returns a
+    # free top of the heap to the OS.  That halved a training step's faults.
+    tiles = _unfold_tiles(xf, p - (k - 1) // 2, k, cols)
+    y = np.empty((co, n_b, width // n_b), np.result_type(xf, w))
+    yf = y.reshape(co, width)
+    for a, n, u in tiles:
+        # A short last tile runs into scratch, so every GEMM keeps its shape
+        # and y keeps the input's width: rounded up to whole tiles, its row
+        # stride could be a power of two, and cache-set conflicts then
+        # slowed the passes over it about 2x.
         full = n == _TILE
-        y_tile = y[:, a:a + n] if full else np.empty((co, _TILE), y.dtype)
-        np.matmul(w2, u2, out=y_tile)
+        y_tile = yf[:, p + a:p + a + n] if full else np.empty((co, _TILE), y.dtype)
+        np.matmul(w2, u, out=y_tile)
+        y_tile = y_tile[:, :n]
         if b is not None:
             y_tile += b[:, None]
+        if rf is not None:
+            y_tile += rf[:, p + a:p + a + n]
+        if relu:
+            np.maximum(y_tile, 0, out=y_tile)
         if not full:
-            y[:, a:a + n] = y_tile[:, :n]
+            yf[:, p + a:p + a + n] = y_tile
         if on_tile is not None:
-            on_tile(a, u2[:, :n])
-    y = y.reshape(co, n_b, -1)
-    return y[:, :, :y.shape[2] - k + 1].transpose(1, 0, 2)
+            on_tile(a, u[:, :n])
+    y[:, :, :p] = 0
+    y[:, :, y.shape[2] - p:] = 0
+    return _interior(y, p)
 
 
-def conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cross-correlate (B, Ci, T) with (Co, Ci, k) under 'same' zero padding."""
-    return _correlate(_padded(x, (w.shape[2] - 1) // 2), w, len(x), b)
+def conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray, *, residual=None,
+           relu: bool = False) -> np.ndarray:
+    """Cross-correlate (B, Ci, T) with (Co, Ci, k) under 'same' zero padding,
+    add b, then residual (B, Co, T) if given, then take the ReLU if relu.
+
+    The result is the interior view of a zero-padded channel-major buffer,
+    which a following conv1d or conv1d_backward reads without a copy.
+    """
+    xf, p = _padded(x, (w.shape[2] - 1) // 2)
+    rf = None if residual is None else _padded(residual, p, exact=True)[0]
+    return _correlate(xf, p, w, len(x), b, rf, relu)
 
 
-def conv1d_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray):
-    """Gradients (dw, db, dx) of conv1d for upstream grad gy (B, Co, T).
+def conv1d_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray, *,
+                    input_grad: bool = True):
+    """Gradients (dw, db, dx) of conv1d for upstream grad gy (B, Co, T);
+    dx is None unless input_grad.
 
     dx correlates gy with the kernel transposed and flipped in time (for odd
     k again 'same').  That unfolds gy: row (k-1-j, o) of a tile holds
     gy[o, s + pad - j] at column s, so the same unfold times x's columns
     gives dw[o, :, j] = sum_s gy[o, s + pad - j] x[:, s], tile by tile.
+    Without dx, dw instead comes from gy's columns times an unfold of x,
+    which has k*Ci rows rather than k*Co.
     """
     co, ci, k = w.shape
     pad = (k - 1) // 2
-    gf, xf = _padded(gy, pad), _padded(x, pad)
-    x_cols = xf[:, pad:xf.shape[1] - pad]  # x at each dx column
-    dw_rows = np.zeros((k * co, ci), np.result_type(gy, x))  # row (k-1-j, o)
+    xf, p = _padded(x, pad)
+    gf, _ = _padded(gy, p, exact=True)  # laid out like xf, column for column
+    cols = xf.shape[1] - 2 * p
+    dtype = np.result_type(gy, x)
+    if input_grad:
+        x_cols = xf[:, p:p + cols]  # x at each dx column
+        dw_rows = np.zeros((k * co, ci), dtype)  # row (k-1-j, o)
 
-    def add_dw(a, u):
-        dw_rows[:] += u @ x_cols[:, a:a + u.shape[1]].T
+        def add_dw(a, u):
+            dw_rows[:] += u @ x_cols[:, a:a + u.shape[1]].T
 
-    dx = _correlate(gf, w.transpose(1, 0, 2)[:, :, ::-1], len(gy),
-                    on_tile=add_dw)
-    dw = dw_rows.reshape(k, co, ci)[::-1].transpose(1, 2, 0)
+        dx = _correlate(gf, p, w.transpose(1, 0, 2)[:, :, ::-1], len(gy),
+                        on_tile=add_dw)
+        dw = dw_rows.reshape(k, co, ci)[::-1].transpose(1, 2, 0)
+    else:
+        g_cols = gf[:, p:p + cols]
+        dw_rows = np.zeros((co, k * ci), dtype)  # column (j, i)
+        for a, n, u in _unfold_tiles(xf, p - pad, k, cols):
+            dw_rows += g_cols[:, a:a + n] @ u[:, :n].T
+        dw, dx = dw_rows.reshape(co, k, ci).transpose(0, 2, 1), None
     return np.ascontiguousarray(dw), gy.sum(axis=(0, 2)), dx
 
 
 @dataclass
 class ForwardCache:
+    # Activations are interior views of zero-padded channel-major buffers.
+    # z0, z1s and s_pres are the ReLU outputs backward() takes its masks from
+    # (z > 0 equals relu(z) > 0), so they share hs and rs rather than copy.
     x: np.ndarray          # (B, K)
-    z0: np.ndarray         # pre-relu of the input conv
+    z0: np.ndarray         # mask source of the input conv: hs[0]
     hs: list[np.ndarray]   # h0..hM
-    z1s: list[np.ndarray]  # per block, pre-relu of the inner conv
-    rs: list[np.ndarray]   # per block, relu(z1)
-    s_pres: list[np.ndarray]  # per block, pre-relu of the residual sum
+    z1s: list[np.ndarray]  # per block, mask source of the inner conv: rs
+    rs: list[np.ndarray]   # per block, relu(inner conv)
+    s_pres: list[np.ndarray]  # per block, mask source of the residual sum: hs[1:]
     logits: np.ndarray     # (B, K)
     vprime: np.ndarray     # post-charge potentials (B, K)
 
@@ -208,36 +289,22 @@ def _as_batch(x) -> tuple[np.ndarray, bool]:
     return x, False
 
 
-def _relu(z: np.ndarray, keep: bool) -> np.ndarray:
-    """max(z, 0); in place unless z is kept for the backward pass."""
-    return np.maximum(z, 0) if keep else np.maximum(z, 0, out=z)
-
-
 def _conv_stack(x2d: np.ndarray, p: SpikeNetParams,
                 acts: dict[str, list[np.ndarray]] | None = None) -> np.ndarray:
     """Logits (B, T) of the conv stack on input (B, T), 'same' padding.
 
-    With acts, a dict of lists keyed like ForwardCache's fields, the
-    activations backward() needs are appended to it.  Without it the ReLUs
-    run in place, so only h, r and the current conv output stay alive.
+    With acts, a dict with lists "hs" and "rs", the activations backward()
+    needs are appended to it.  Without it only h, r and the current conv
+    output stay alive.
     """
-    keep = acts is not None
-    z = conv1d(x2d[:, None, :], p.w_in, p.b_in)
-    h = _relu(z, keep)
-    if keep:
-        acts["z0"].append(z)
+    h = conv1d(x2d[:, None, :], p.w_in, p.b_in, relu=True)
+    if acts is not None:
         acts["hs"].append(h)
     for blk in p.blocks:
-        z = conv1d(h, blk.w1, blk.b1)
-        r = _relu(z, keep)
-        if keep:
-            acts["z1s"].append(z)
+        r = conv1d(h, blk.w1, blk.b1, relu=True)
+        h = conv1d(r, blk.w2, blk.b2, residual=h, relu=True)
+        if acts is not None:
             acts["rs"].append(r)
-        z = conv1d(r, blk.w2, blk.b2)
-        z += h  # residual skip
-        h = _relu(z, keep)
-        if keep:
-            acts["s_pres"].append(z)
             acts["hs"].append(h)
     return conv1d(h, p.w_head, p.b_head)[:, 0, :]
 
@@ -256,23 +323,32 @@ def forward(x, p: SpikeNetParams, cfg: SpikeNetConfig, v0=0.0,
     if x2d.shape[1] < 1:
         raise ShapeError("input must have at least one timestep")
 
-    acts = {"z0": [], "hs": [], "z1s": [], "rs": [], "s_pres": []}
+    acts = {"hs": [], "rs": []}
     logits = _conv_stack(x2d, p, acts)
 
     spikes, vprime, _ = bilif_fold(logits, cfg.lif, v0)
     out = spikes if mode == "hard" else soft_bilif(vprime, cfg.lif, cfg.surrogate)
-    cache = ForwardCache(x2d, acts["z0"][0], acts["hs"], acts["z1s"], acts["rs"],
-                         acts["s_pres"], logits, vprime)
+    hs, rs = acts["hs"], acts["rs"]
+    cache = ForwardCache(x2d, hs[0], hs, rs, rs, hs[1:], logits, vprime)
     return (out[0] if squeeze else out), cache
 
 
+def _masked(g: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """g * (a > 0) in place, on the padded buffers behind two interior views
+    of one layout; g's pad columns stay zero."""
+    np.multiply(g.base, a.base > 0, out=g.base)
+    return g
+
+
 def backward(grad_spikes, cache: ForwardCache, p: SpikeNetParams,
-             cfg: SpikeNetConfig):
-    """Reverse-mode gradients; returns (param grads, input grad).
+             cfg: SpikeNetConfig, *, input_grad: bool = False):
+    """Reverse-mode gradients; returns (param grads, input grad), the input
+    grad None unless input_grad.
 
     d(spike)/d(logit) at each tick uses the surrogate at the cached
     post-charge potential; the recurrent state path backpropagates the decay
-    while the reset's spike is held constant.
+    while the reset's spike is held constant.  Every gradient below the head
+    lives in a padded buffer laid out like the activations.
     """
     g, squeeze = _as_batch(grad_spikes)
     if g.shape != cache.logits.shape:
@@ -295,18 +371,20 @@ def backward(grad_spikes, cache: ForwardCache, p: SpikeNetParams,
     grad_blocks = []
     for i in range(len(p.blocks) - 1, -1, -1):
         blk = p.blocks[i]
-        ds = dh * (cache.s_pres[i] > 0)
+        ds = _masked(dh, cache.s_pres[i])
         dw2, db2, dr = conv1d_backward(ds, cache.rs[i], blk.w2)
-        dz1 = dr * (cache.z1s[i] > 0)
-        dw1, db1, dh_conv = conv1d_backward(dz1, cache.hs[i], blk.w1)
-        dh = ds + dh_conv  # residual skip + conv path
+        dw1, db1, dh = conv1d_backward(_masked(dr, cache.z1s[i]), cache.hs[i],
+                                       blk.w1)
+        np.add(dh.base, ds.base, out=dh.base)  # residual skip + conv path
         grad_blocks.append(BlockParams(dw1, db1, dw2, db2))
     grad_blocks.reverse()
 
-    dz0 = dh * (cache.z0 > 0)
-    dw_in, db_in, dx = conv1d_backward(dz0, cache.x[:, None, :], p.w_in)
+    dw_in, db_in, dx = conv1d_backward(_masked(dh, cache.z0), cache.x[:, None, :],
+                                       p.w_in, input_grad=input_grad)
     grads = SpikeNetParams(dw_in, db_in, grad_blocks, dw_head, db_head)
-    return grads, (dx[0, 0] if squeeze else dx[:, 0])
+    if dx is not None:
+        dx = dx[0, 0] if squeeze else dx[:, 0]
+    return grads, dx
 
 
 def _infer_rows(xpix: np.ndarray, p: SpikeNetParams, cfg: SpikeNetConfig,

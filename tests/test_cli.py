@@ -1,4 +1,5 @@
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -328,8 +329,19 @@ def test_adversarial_config_value_ends_in_exit_code(tmp_path, capsys,
     ("simulate", "--set sim.leak_rate=inf"), ("eval", "--set eval.fps=1e300"),
     ("gen", "--set scene.width=70000"),
     ("gen", "--set scene.fps=1e39 --set scene.duration=2e-36"),
+    ("gen", "--set scene.fps=2e6"),
 ])
 def test_out_of_range_value_exits_1(tmp_path, capsys, sweep_inputs, command,
                                     bad):
     assert main(_sweep_argv(command, sweep_inputs, tmp_path) + bad.split()) == 1
     assert capsys.readouterr().err.startswith("evsynth: ")
+
+
+def test_fseq_fps_above_1e6_exits_2(tmp_path, capsys):
+    # two 8x8 frames at 4e6 fps: ticks closer than a microsecond timestamp
+    clip = tmp_path / "fast.fseq"
+    clip.write_bytes(struct.pack("<4sHHHIfB", b"FSEQ", 1, 8, 8, 2, 4e6, 3)
+                     + np.full(2 * 8 * 8 * 3, 0.5, "<f4").tobytes())
+    assert main(["simulate", str(clip), "--out", str(tmp_path / "ev.evt1")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("evsynth: ")

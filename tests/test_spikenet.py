@@ -100,6 +100,57 @@ def test_conv1d_on_a_batch_equals_conv1d_on_its_halves(monkeypatch, ci, co, k,
     assert np.array_equal(conv1d(x, w, b), halves)
 
 
+@pytest.mark.parametrize("tile", [None, _SMALL_TILE], ids=["default", "small"])
+@pytest.mark.parametrize("ci,k", [(1, 7), (4, 1), (4, 3)])
+def test_conv_backward_without_dx_gives_the_same_dw(monkeypatch, ci, k, tile):
+    _set_tile(monkeypatch, tile)
+    gen = np.random.default_rng(20 + k)
+    x = gen.normal(size=(3, ci, 13))
+    w = gen.normal(size=(5, ci, k))
+    gy = gen.normal(size=(3, 5, 13))
+    dw, db, _ = conv1d_backward(gy, x, w)
+    dw_only, db_only, dx = conv1d_backward(gy, x, w, input_grad=False)
+    assert dx is None
+    assert np.allclose(dw_only, dw, rtol=0, atol=1e-12)
+    assert np.array_equal(db_only, db)
+
+
+@pytest.mark.parametrize("tile", [None, _SMALL_TILE], ids=["default", "small"])
+@pytest.mark.parametrize("fill", ["zeros", "noise"])
+@pytest.mark.parametrize("k", [1, 3, 7])
+def test_conv_on_a_caller_made_padded_buffer(monkeypatch, k, fill, tile):
+    # a (C, B, T + 2P) array with P = 4 wider than every pad here: its
+    # interior view is read in place only when the pad columns are zero
+    _set_tile(monkeypatch, tile)
+    gen = np.random.default_rng(k)
+    buf = gen.normal(size=(4, 3, 9 + 8))
+    if fill == "zeros":
+        buf[:, :, :4] = buf[:, :, -4:] = 0
+    x = buf[:, :, 4:-4].transpose(1, 0, 2)
+    w = gen.normal(size=(5, 4, k))
+    b = gen.normal(size=5)
+    gy = gen.normal(size=(3, 5, 9))
+    assert np.allclose(conv1d(x, w, b), _conv_reference(x, w) + b[None, :, None],
+                       rtol=0, atol=1e-12)
+    for got, want in zip(conv1d_backward(gy, x, w),
+                         conv1d_backward(gy, np.ascontiguousarray(x), w)):
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("tile", [None, _SMALL_TILE], ids=["default", "small"])
+@pytest.mark.parametrize("k", [1, 3, 7])
+def test_fused_residual_relu_equals_separate_passes(monkeypatch, k, tile):
+    _set_tile(monkeypatch, tile)
+    gen = np.random.default_rng(10 + k)
+    x = gen.normal(size=(3, 4, 11)).astype(np.float32)
+    w = gen.normal(size=(4, 4, k)).astype(np.float32)
+    b = gen.normal(size=4).astype(np.float32)
+    # a fresh array, and a conv output read from its own padded buffer
+    for r in (gen.normal(size=(3, 4, 11)).astype(np.float32), conv1d(x, w, -b)):
+        want = np.maximum(conv1d(x, w, b) + r, 0)
+        assert np.array_equal(conv1d(x, w, b, residual=r, relu=True), want)
+
+
 def test_receptive_field_formula():
     assert receptive_field(SpikeNetConfig(kernel=7, depth=3)) == 43
     assert receptive_field(SpikeNetConfig(kernel=1, depth=5)) == 1
@@ -169,7 +220,7 @@ def test_zero_upstream_grad_gives_zero_grads():
     params = noisy_params(cfg)
     x = np.random.default_rng(3).normal(size=(4, 24))
     _, cache = forward(x, params, cfg)
-    grads, dx = backward(np.zeros((4, 24)), cache, params, cfg)
+    grads, dx = backward(np.zeros((4, 24)), cache, params, cfg, input_grad=True)
     assert all(not g.any() for g in grads.tensors())
     assert not dx.any()
 
@@ -256,7 +307,7 @@ def test_input_gradient_matches_finite_differences():
     x = gen.normal(size=(2, 20))
     r = gen.normal(size=(2, 20))
     soft, cache = forward(x, params, cfg, mode="soft")
-    _, dx = backward(r, cache, params, cfg)
+    _, dx = backward(r, cache, params, cfg, input_grad=True)
     eps, fd = 1e-6, np.zeros_like(x)
     for i in range(2):
         for j in range(20):
