@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import core, formats, metrics, refsim, scenegen, spikenet, train as train_mod
-from .errors import ConfigError, EvsynthError, FormatError
+from .errors import ConfigError, EvsynthError
 from .luminance import LuminanceConfig, log_diff_sequence
 from .refsim import RefSimConfig
 from .scenegen import NoiseModel, SceneSpec
@@ -139,8 +139,6 @@ def _train_config(cfg: RunConfig) -> train_mod.TrainConfig:
 
 def _read_events(path) -> core.EventList:
     path = Path(path)
-    if not path.exists():
-        raise FormatError(f"{path}: no such file")
     if path.suffix == ".csv":
         return formats.read_csv(path)
     return formats.read_evt1(path)
@@ -153,13 +151,6 @@ def _write_events(e: core.EventList, path) -> None:
         formats.write_csv(e, path)
     else:
         formats.write_evt1(e, path)
-
-
-def _read_fseq(path) -> core.FrameSeq:
-    path = Path(path)
-    if not path.exists():
-        raise FormatError(f"{path}: no such file")
-    return formats.read_fseq(path)
 
 
 def cmd_gen(args, cfg: RunConfig) -> None:
@@ -175,7 +166,7 @@ def cmd_gen(args, cfg: RunConfig) -> None:
 
 
 def cmd_simulate(args, cfg: RunConfig) -> None:
-    frames = _read_fseq(args.input)
+    frames = formats.read_fseq(args.input)
     x = log_diff_sequence(frames, _lum_config(cfg))
     train_out = refsim.simulate(x, _refsim_config(cfg))
     _write_events(core.dense_to_sparse(train_out), args.out)
@@ -200,7 +191,7 @@ def cmd_train(args, cfg: RunConfig) -> None:
 
 
 def cmd_infer(args, cfg: RunConfig) -> None:
-    frames = _read_fseq(args.input)
+    frames = formats.read_fseq(args.input)
     params, net_cfg = spikenet.load_checkpoint(args.checkpoint)
     x = log_diff_sequence(frames, _lum_config(cfg))
     spikes = spikenet.infer_stream(x, params, net_cfg,

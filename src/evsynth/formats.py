@@ -70,10 +70,9 @@ def read_csv(path, width: int | None = None, height: int | None = None) -> Event
         if len(parts) != 4:
             raise FormatError(f"{path}:{i + 2}: expected 4 fields")
         try:
-            t, x, y, p = (int(v) for v in parts)
-        except ValueError as exc:
+            rec[i] = tuple(int(v) for v in parts)
+        except (ValueError, OverflowError) as exc:
             raise FormatError(f"{path}:{i + 2}: {exc}") from None
-        rec[i] = (t, x, y, p)
     if width is None:
         width = int(rec["x"].max()) + 1 if rec.size else 1
     if height is None:

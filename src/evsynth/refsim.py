@@ -7,8 +7,9 @@ consecutive spikes (the saturation effect).  Optional per-pixel threshold
 mismatch, randomized initial state, and leak/shot noise events model the
 remaining sensor non-idealities.
 
-All randomness is counter-based on (seed, y, x[, tick]), so the output depends
-on nothing but the config and the input.
+All randomness is counter-based: each pixel's (seed, y, x) key is hashed once
+and every draw folds its tick and salt onto it, so the output depends on
+nothing but the config and the input.
 """
 
 from __future__ import annotations
@@ -52,42 +53,34 @@ class RefSimConfig:
 
 def pixel_thresholds(cfg: RefSimConfig, height: int, width: int) -> np.ndarray:
     """Per-pixel thresholds theta_p = max(theta + N(0, sigma*theta), theta/4)."""
-    ys = np.arange(height, dtype=np.uint64)[:, None]
-    xs = np.arange(width, dtype=np.uint64)[None, :]
-    z = rng.unit_normal(cfg.seed, ys, xs, _SALT_THRESH)
+    return _thresholds(cfg, rng.pixel_key(cfg.seed, height, width))
+
+
+def _thresholds(cfg: RefSimConfig, key: np.ndarray) -> np.ndarray:
+    z = rng.unit_normal(rng.fold(key, _SALT_THRESH))
     return np.maximum(cfg.theta + cfg.sigma_theta * cfg.theta * z, cfg.theta / 4.0)
 
 
-def initial_state(cfg: RefSimConfig, theta_p: np.ndarray) -> np.ndarray:
-    if cfg.init_mode == "zero":
-        return np.zeros_like(theta_p)
-    h, w = theta_p.shape
-    ys = np.arange(h, dtype=np.uint64)[:, None]
-    xs = np.arange(w, dtype=np.uint64)[None, :]
-    u = rng.unit_uniform(cfg.seed, ys, xs, _SALT_INIT)
-    return (2.0 * u - 1.0) * theta_p
-
-
-def _simulate_rows(x: np.ndarray, fps: float, cfg: RefSimConfig,
+def _simulate_rows(x: np.ndarray, fps: float, cfg: RefSimConfig, key: np.ndarray,
                    theta_p: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Fold the sensor model over x (K, H, W); returns the (K, H, W) spikes
-    and leaves the final membrane potentials in v."""
-    k, h, w = x.shape
-    ys = np.arange(h, dtype=np.uint64)[:, None]
-    xs = np.arange(w, dtype=np.uint64)[None, :]
+    """Fold the sensor model over x (K, H, W) given each pixel's hashed
+    (seed, y, x) key; returns the (K, H, W) spikes and leaves the final
+    membrane potentials in v."""
     p_leak = cfg.leak_rate / fps
     p_shot = cfg.shot_rate / fps
-    out = np.empty((k, h, w), dtype=np.int8)
-    for t in range(k):
+    out = np.empty(x.shape, dtype=np.int8)
+    for t in range(x.shape[0]):
         v += x[t]
+        if p_leak > 0 or p_shot > 0:
+            h = rng.fold(key, t)  # shared by this tick's leak, shot and sign draws
         if p_leak > 0:
-            hit = rng.unit_uniform(cfg.seed, ys, xs, t, _SALT_LEAK) < p_leak
+            hit = rng.unit_uniform(rng.fold(h, _SALT_LEAK)) < p_leak
             v += np.where(hit, theta_p, 0.0)
         if p_shot > 0:
-            hit = rng.unit_uniform(cfg.seed, ys, xs, t, _SALT_SHOT) < p_shot
-            sign = np.where(rng.unit_uniform(cfg.seed, ys, xs, t, _SALT_SHOT_SIGN) < 0.5,
+            hit = np.nonzero(rng.unit_uniform(rng.fold(h, _SALT_SHOT)) < p_shot)
+            sign = np.where(rng.unit_uniform(rng.fold(h[hit], _SALT_SHOT_SIGN)) < 0.5,
                             1.0, -1.0)
-            v += np.where(hit, sign * theta_p, 0.0)
+            v[hit] += sign * theta_p[hit]
         s = (v >= theta_p).astype(np.int8) - (v <= -theta_p).astype(np.int8)
         out[t] = s
         v -= s * theta_p
@@ -100,9 +93,13 @@ def simulate(x: LogDiffSeq, cfg: RefSimConfig, return_state: bool = False):
     With return_state=True also returns the final membrane potentials
     (H, W) -- handy for the conservation identity theta*sum(S) + v = sum(X).
     """
-    theta_p = pixel_thresholds(cfg, x.height, x.width)
-    v = initial_state(cfg, theta_p)
-    out = _simulate_rows(x.data.astype(np.float64), x.fps, cfg, theta_p, v)
+    key = rng.pixel_key(cfg.seed, x.height, x.width)
+    theta_p = _thresholds(cfg, key)
+    if cfg.init_mode == "zero":
+        v = np.zeros_like(theta_p)
+    else:
+        v = (2.0 * rng.unit_uniform(rng.fold(key, _SALT_INIT)) - 1.0) * theta_p
+    out = _simulate_rows(x.data.astype(np.float64), x.fps, cfg, key, theta_p, v)
     train = SpikeTrain(x.width, x.height, x.fps, out)
     return (train, v) if return_state else train
 

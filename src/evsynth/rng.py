@@ -1,10 +1,14 @@
 """Counter-based random streams.
 
 Every draw is a pure function of its integer keys (seed, pixel coords, tick,
-salt), so row- or frame-partitioned workers reproduce the exact same values
-regardless of schedule.  The core is a splitmix64 chain; normals come from a
-fixed two-uniform Box-Muller so no draw ever consumes a variable amount of
-state.
+salt), so it never depends on the order in which values are drawn.  Keys are
+folded into a u64 hash one at a time by a splitmix64 chain, so a hashed prefix
+extends by ``fold``: ``fold(hash_u64(seed, *a), *b) == hash_u64(seed, *a, *b)``.
+Callers hash a shared prefix once -- typically each pixel's (seed, y, x) via
+``pixel_key`` -- and fold the tick and a salt onto it per draw.
+``unit_uniform`` and ``unit_normal`` map finished hashes to draws; normals
+come from a fixed two-uniform Box-Muller so no draw ever consumes a variable
+amount of state.
 """
 
 from __future__ import annotations
@@ -26,25 +30,31 @@ def _mix64(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> np.uint64(31))
 
 
-def hash_u64(seed: int, *keys) -> np.ndarray:
-    """Fold integer keys (scalars or arrays, broadcast together) into u64 hashes."""
-    h = _mix64(np.uint64(seed))
+def fold(h, *keys) -> np.ndarray:
+    """Extend u64 hashes by integer keys (scalars or arrays, broadcast together)."""
     for k in keys:
         h = _mix64(h ^ np.asarray(k, dtype=np.uint64))
     return h
 
 
-def unit_uniform(seed: int, *keys) -> np.ndarray:
-    """Uniform floats in [0, 1), one per broadcast key tuple."""
-    return (hash_u64(seed, *keys) >> np.uint64(11)).astype(np.float64) * _INV53
+def hash_u64(seed: int, *keys) -> np.ndarray:
+    """Hash a seed and integer keys into u64 hashes."""
+    return fold(_mix64(np.uint64(seed)), *keys)
 
 
-def unit_normal(seed: int, *keys) -> np.ndarray:
-    """Standard normals via Box-Muller on two chained sub-hashes."""
-    h = hash_u64(seed, *keys)
-    h1 = _mix64(h ^ np.uint64(0x1))
-    h2 = _mix64(h ^ np.uint64(0x2))
+def pixel_key(seed: int, height: int, width: int) -> np.ndarray:
+    """The (height, width) hashes of every pixel's (seed, y, x) prefix."""
+    return hash_u64(seed, *np.ogrid[:height, :width])
+
+
+def unit_uniform(h: np.ndarray) -> np.ndarray:
+    """Uniform floats in [0, 1), one per hash."""
+    return (h >> np.uint64(11)).astype(np.float64) * _INV53
+
+
+def unit_normal(h: np.ndarray) -> np.ndarray:
+    """Standard normals, one per hash, via Box-Muller on two sub-hashes."""
     # u1 in (0, 1] so the log is finite
-    u1 = ((h1 >> np.uint64(11)).astype(np.float64) + 1.0) * _INV53
-    u2 = (h2 >> np.uint64(11)).astype(np.float64) * _INV53
+    u1 = ((fold(h, 1) >> np.uint64(11)).astype(np.float64) + 1.0) * _INV53
+    u2 = (fold(h, 2) >> np.uint64(11)).astype(np.float64) * _INV53
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)

@@ -167,14 +167,7 @@ def add_render_noise(f: FrameSeq, m: NoiseModel) -> FrameSeq:
     if m.gain == 0.0:
         return FrameSeq(f.width, f.height, f.fps, f.frames.copy())
     n, h, w, _ = f.frames.shape
-    z = rng.unit_normal(
-        m.seed,
-        np.arange(n, dtype=np.uint64)[:, None, None, None],
-        np.arange(h, dtype=np.uint64)[None, :, None, None],
-        np.arange(w, dtype=np.uint64)[None, None, :, None],
-        np.arange(3, dtype=np.uint64)[None, None, None, :],
-        _SALT_NOISE,
-    )
+    z = rng.unit_normal(rng.hash_u64(m.seed, *np.ogrid[:n, :h, :w, :3], _SALT_NOISE))
     with np.errstate(over="ignore", invalid="ignore"):
         noisy = np.maximum(f.frames.astype(np.float64) * (1.0 + m.sigma * z), 0.0)
     if not noisy.max() <= _F32_MAX:

@@ -427,9 +427,7 @@ def infer_stream(x: LogDiffSeq, p: SpikeNetParams, cfg: SpikeNetConfig,
     if v0_mode == "zero":
         v0 = np.zeros(h * w)
     else:
-        ys = np.arange(h, dtype=np.uint64)[:, None]
-        xs = np.arange(w, dtype=np.uint64)[None, :]
-        u = rng.unit_uniform(seed, ys, xs, _SALT_V0).reshape(-1)
+        u = rng.unit_uniform(rng.fold(rng.pixel_key(seed, h, w), _SALT_V0)).reshape(-1)
         v0 = (2.0 * u - 1.0) * cfg.lif.v_th
 
     out = np.empty((h * w, k), dtype=np.int8)

@@ -9,7 +9,7 @@ surrogate; hard spikes are used for holdout evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +54,6 @@ class TrainConfig:
 class DatasetPair:
     x: LogDiffSeq          # network input, from noisy frames
     e: SpikeTrain          # target, reference sim on clean frames
-    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.x.data.shape != self.e.data.shape:
@@ -69,11 +68,7 @@ def make_dataset(scenes: list[SceneSpec], noise: NoiseModel, ref: RefSimConfig,
         clean = scenegen.gen_scene(spec)
         noisy = scenegen.add_render_noise(clean, noise)
         target = refsim.simulate(log_diff_sequence(clean, lum), ref)
-        pairs.append(DatasetPair(
-            x=log_diff_sequence(noisy, lum),
-            e=target,
-            provenance={"scene": spec, "noise": noise, "refsim": ref},
-        ))
+        pairs.append(DatasetPair(x=log_diff_sequence(noisy, lum), e=target))
     return pairs
 
 

@@ -169,22 +169,37 @@ def test_train_command_end_to_end(tmp_path):
     assert cfg.channels == 4
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, capsys):
     # usage: unknown flag / missing args -> 1
     assert run("simulate", "--out", str(tmp_path / "x.evt1")) == 1
     assert run("frobnicate", "--out", "x") == 1
     # config: unknown key -> 1
     assert run("gen", "--out", str(tmp_path / "y.fseq"),
                "--set", "scene.bogus=1") == 1
-    # data: missing input file -> 2
-    assert run("simulate", str(tmp_path / "missing.fseq"),
-               "--out", str(tmp_path / "z.evt1")) == 2
+    # data: missing input file -> 2, with one line
+    capsys.readouterr()
+    missing = str(tmp_path / "missing.evt1")
+    for argv in (["simulate", str(tmp_path / "missing.fseq")],
+                 ["eval", missing, missing]):
+        assert run(*argv, "--out", str(tmp_path / "z.evt1")) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("evsynth: ")
     # data: wrong magic -> 2
     bad = tmp_path / "bad.fseq"
     bad.write_bytes(b"JUNKJUNKJUNKJUNKJUNK")
     assert run("simulate", str(bad), "--out", str(tmp_path / "w.evt1")) == 2
     # usage: bad worker count -> 1
     assert run("gen", "--out", str(tmp_path / "v.fseq"), "--workers", "0") == 1
+
+
+@pytest.mark.parametrize("record", ["-1,0,0,1", "5,70000,0,1",
+                                    "99999999999,0,0,1", "5,0,0,300"])
+def test_out_of_range_csv_field_exits_2(tmp_path, capsys, record):
+    ev = tmp_path / "f.csv"
+    ev.write_text(f"t_us,x,y,p\n{record}\n")
+    assert run("hist", str(ev), "--out", str(tmp_path / "h.csv")) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("evsynth: ")
 
 
 @pytest.mark.parametrize("key", ["eval.bin_fps", "eval.buckets", "train.batch"])
