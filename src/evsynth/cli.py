@@ -1,9 +1,11 @@
 """Command-line front end: gen, simulate, train, infer, eval, hist.
 
 Configuration is plain-text ``section.key = value`` lines merged with command
-line flags (flags win).  Every run writes the fully resolved configuration as
-``run.cfg`` next to its output.  Exit codes: 0 success, 1 usage/config error,
-2 data/format error, 3 numeric divergence.
+line flags (flags win).  A section's keys and defaults are the defaulted
+fields of its config type (``DEFAULTS``), and a command builds that type from
+the section's resolved values.  After a command succeeds, ``main`` writes the
+fully resolved configuration as ``run.cfg`` next to its output.  Exit codes:
+0 success, 1 usage/config error, 2 data/format error, 3 numeric divergence.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 from . import core, formats, metrics, refsim, scenegen, spikenet, train as train_mod
@@ -21,18 +24,24 @@ from .scenegen import NoiseModel, SceneSpec
 from .spiking import LifParams, SurrogateConfig
 from .spikenet import SpikeNetConfig
 
+
+def _field_defaults(*types, rename=None) -> dict[str, object]:
+    """Every field of ``types`` that has a default, in declaration order."""
+    rename = rename or {}
+    return {rename.get(f.name, f.name): f.default
+            for t in types for f in fields(t) if f.default is not MISSING}
+
+
+# Literal entries are keys no config type holds.
 DEFAULTS: dict[str, dict[str, object]] = {
-    "scene": {"kind": "moving_edge", "width": 64, "height": 64, "fps": 1000.0,
-              "duration": 0.25, "velocity": 120.0, "spatial_freq": 0.0625,
-              "flash_period": 0.1, "contrast": 0.9, "seed": 0},
-    "noise": {"spp": 64, "gain": 0.5, "seed": 0},
-    "lum": {"rho_log": 0.02},
-    "sim": {"theta": 0.2, "sigma_theta": 0.03, "init_mode": "zero",
-            "leak_rate": 0.1, "shot_rate": 1.0, "seed": 0},
-    "net": {"channels": 32, "kernel": 7, "depth": 3, "tau": 2.0, "v_th": 1.0,
-            "alpha": 2.0, "v0_mode": "zero"},
-    "train": {"epochs": 20, "batch": 256, "lr": 1e-3, "lambda": 0.1,
-              "clip": 1.0, "seed": 0, "holdout": 0.1,
+    "scene": _field_defaults(SceneSpec),
+    "noise": _field_defaults(NoiseModel),
+    "lum": _field_defaults(LuminanceConfig),
+    "sim": _field_defaults(RefSimConfig),
+    "net": {**_field_defaults(SpikeNetConfig, LifParams, SurrogateConfig),
+            "v0_mode": "zero"},
+    "train": {**_field_defaults(train_mod.TrainConfig,
+                                rename={"count_weight": "lambda"}),
               "kinds": "moving_edge,grating,flashing_light"},
     "eval": {"fps": 1000.0, "bin_fps": 60.0, "buckets": 32},
 }
@@ -65,7 +74,11 @@ class RunConfig:
             raise ConfigError(f"bad value {raw!r} for {dotted}") from None
 
     def load_file(self, path) -> None:
-        for n, line in enumerate(Path(path).read_text().splitlines(), 1):
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8
+            raise ConfigError(f"cannot read config file {path}: {exc}") from None
+        for n, line in enumerate(text.splitlines(), 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -79,8 +92,9 @@ class RunConfig:
         return self.values[sec][key]
 
     def override_seed(self, seed: int) -> None:
-        for sec in ("scene", "noise", "sim", "train"):
-            self.values[sec]["seed"] = seed
+        for section in self.values.values():
+            if "seed" in section:
+                section["seed"] = seed
 
     def dump(self) -> str:
         lines = []
@@ -90,36 +104,11 @@ class RunConfig:
         return "\n".join(lines) + "\n"
 
 
-def _write_run_cfg(cfg: RunConfig, out_path, command: str) -> None:
-    out_path = Path(out_path)
-    target = (out_path if out_path.is_dir() else out_path.parent) / "run.cfg"
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(f"# evsynth {command}\n" + cfg.dump())
-
-
-def _scene_spec(cfg: RunConfig, kind=None, seed_offset=0) -> SceneSpec:
-    return SceneSpec(
-        kind=kind or cfg["scene.kind"], width=cfg["scene.width"],
-        height=cfg["scene.height"], fps=cfg["scene.fps"],
-        duration=cfg["scene.duration"], velocity=cfg["scene.velocity"],
-        spatial_freq=cfg["scene.spatial_freq"],
-        flash_period=cfg["scene.flash_period"], contrast=cfg["scene.contrast"],
-        seed=cfg["scene.seed"] + seed_offset)
-
-
-def _noise_model(cfg: RunConfig) -> NoiseModel:
-    return NoiseModel(cfg["noise.spp"], cfg["noise.gain"], cfg["noise.seed"])
-
-
-def _lum_config(cfg: RunConfig) -> LuminanceConfig:
-    return LuminanceConfig(cfg["lum.rho_log"])
-
-
-def _refsim_config(cfg: RunConfig) -> RefSimConfig:
-    return RefSimConfig(
-        theta=cfg["sim.theta"], sigma_theta=cfg["sim.sigma_theta"],
-        init_mode=cfg["sim.init_mode"], leak_rate=cfg["sim.leak_rate"],
-        shot_rate=cfg["sim.shot_rate"], seed=cfg["sim.seed"])
+def _out_path(path) -> Path:
+    """An output file's path, with its parent directory created."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 def _net_config(cfg: RunConfig) -> SpikeNetConfig:
@@ -145,8 +134,7 @@ def _read_events(path) -> core.EventList:
 
 
 def _write_events(e: core.EventList, path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    path = _out_path(path)
     if path.suffix == ".csv":
         formats.write_csv(e, path)
     else:
@@ -154,51 +142,49 @@ def _write_events(e: core.EventList, path) -> None:
 
 
 def cmd_gen(args, cfg: RunConfig) -> None:
-    spec = _scene_spec(cfg)
-    clean = scenegen.gen_scene(spec)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    formats.write_fseq(clean, out)
+    clean = scenegen.gen_scene(SceneSpec(**cfg.values["scene"]))
+    formats.write_fseq(clean, _out_path(args.out))
     if args.noisy_out:
-        noisy = scenegen.add_render_noise(clean, _noise_model(cfg))
-        formats.write_fseq(noisy, args.noisy_out)
-    _write_run_cfg(cfg, out, "gen")
+        noise = NoiseModel(**cfg.values["noise"])
+        formats.write_fseq(scenegen.add_render_noise(clean, noise),
+                           _out_path(args.noisy_out))
 
 
 def cmd_simulate(args, cfg: RunConfig) -> None:
     frames = formats.read_fseq(args.input)
-    x = log_diff_sequence(frames, _lum_config(cfg))
-    train_out = refsim.simulate(x, _refsim_config(cfg))
+    x = log_diff_sequence(frames, LuminanceConfig(**cfg.values["lum"]))
+    train_out = refsim.simulate(x, RefSimConfig(**cfg.values["sim"]))
     _write_events(core.dense_to_sparse(train_out), args.out)
-    _write_run_cfg(cfg, args.out, "simulate")
 
 
 def cmd_train(args, cfg: RunConfig) -> None:
     kinds = [k.strip() for k in str(cfg["train.kinds"]).split(",") if k.strip()]
     if not kinds:
         raise ConfigError("train.kinds is empty")
-    scenes = [_scene_spec(cfg, kind=k, seed_offset=i) for i, k in enumerate(kinds)]
+    # train renders one scene per kind, so scene.kind is not read here
+    scenes = [SceneSpec(**{**cfg.values["scene"], "kind": k,
+                           "seed": cfg["scene.seed"] + i})
+              for i, k in enumerate(kinds)]
     net_cfg, t_cfg = _net_config(cfg), _train_config(cfg)
-    data = train_mod.make_dataset(scenes, _noise_model(cfg), _refsim_config(cfg),
-                                  _lum_config(cfg))
+    data = train_mod.make_dataset(scenes, NoiseModel(**cfg.values["noise"]),
+                                  RefSimConfig(**cfg.values["sim"]),
+                                  LuminanceConfig(**cfg.values["lum"]))
     out_dir = Path(args.out)
     params, history = train_mod.train(data, net_cfg, t_cfg,
                                       checkpoint_dir=out_dir,
                                       verbose=args.verbose)
     spikenet.save_checkpoint(out_dir / "model.evsn", params, net_cfg)
     train_mod.write_history_csv(history, out_dir / "history.csv")
-    _write_run_cfg(cfg, out_dir, "train")
 
 
 def cmd_infer(args, cfg: RunConfig) -> None:
     frames = formats.read_fseq(args.input)
     params, net_cfg = spikenet.load_checkpoint(args.checkpoint)
-    x = log_diff_sequence(frames, _lum_config(cfg))
+    x = log_diff_sequence(frames, LuminanceConfig(**cfg.values["lum"]))
     spikes = spikenet.infer_stream(x, params, net_cfg,
                                    v0_mode=cfg["net.v0_mode"],
                                    seed=cfg["sim.seed"])
     _write_events(core.dense_to_sparse(spikes), args.out)
-    _write_run_cfg(cfg, args.out, "infer")
 
 
 def _events_to_train(e: core.EventList, fps: float, k: int, width: int,
@@ -217,25 +203,19 @@ def cmd_eval(args, cfg: RunConfig) -> None:
     a = _events_to_train(ea, fps, k, width, height)
     b = _events_to_train(eb, fps, k, width, height)
     rep = metrics.stream_distance(a, b)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text("metric,value\n"
-                   f"emd,{rep.emd:.8g}\n"
-                   f"count_ratio,{rep.count_ratio:.8g}\n"
-                   f"pos_ratio,{rep.pos_ratio:.8g}\n"
-                   f"neg_ratio,{rep.neg_ratio:.8g}\n"
-                   f"pixels,{rep.pixels}\n")
-    _write_run_cfg(cfg, out, "eval")
+    _out_path(args.out).write_text("metric,value\n"
+                                   f"emd,{rep.emd:.8g}\n"
+                                   f"count_ratio,{rep.count_ratio:.8g}\n"
+                                   f"pos_ratio,{rep.pos_ratio:.8g}\n"
+                                   f"neg_ratio,{rep.neg_ratio:.8g}\n"
+                                   f"pixels,{rep.pixels}\n")
 
 
 def cmd_hist(args, cfg: RunConfig) -> None:
     e = _read_events(args.input)
     hist = metrics.intensity_histogram(e, cfg["eval.bin_fps"], cfg["eval.buckets"])
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     lines = ["bucket,count"] + [f"{i},{c}" for i, c in enumerate(hist.tolist())]
-    out.write_text("\n".join(lines) + "\n")
-    _write_run_cfg(cfg, out, "hist")
+    _out_path(args.out).write_text("\n".join(lines) + "\n")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -295,8 +275,6 @@ _COMMANDS = {"gen": cmd_gen, "simulate": cmd_simulate, "train": cmd_train,
 def _resolve_config(args) -> RunConfig:
     cfg = RunConfig()
     if args.config:
-        if not Path(args.config).exists():
-            raise ConfigError(f"{args.config}: no such config file")
         cfg.load_file(args.config)
     for item in args.set:
         if "=" not in item:
@@ -322,6 +300,9 @@ def main(argv=None) -> int:
         if args.workers < 1:
             raise ConfigError("--workers must be >= 1")
         _COMMANDS[args.command](args, cfg)
+        out = Path(args.out)
+        run_cfg = (out if out.is_dir() else out.parent) / "run.cfg"
+        _out_path(run_cfg).write_text(f"# evsynth {args.command}\n" + cfg.dump())
         return 0
     except (EvsynthError, OSError) as exc:
         print(f"evsynth: {exc}", file=sys.stderr)

@@ -34,11 +34,17 @@ def tick_to_us(k, fps: float) -> np.ndarray:
     return t.astype(np.uint32)
 
 
-def us_to_tick(t, fps: float) -> np.ndarray:
-    """Inverse of tick_to_us, which is exact for fps <= 1e6: one tick per
-    microsecond timestamp at most, the rule voxelize's bin_fps follows."""
+def check_fps(fps: float, name: str = "fps") -> None:
+    """The one rate rule: 0 < fps <= 1e6, so each tick or bin gets its own
+    microsecond timestamp and tick_to_us/us_to_tick are exact inverses."""
     if not 0 < fps <= US_PER_S:
-        raise ConfigError("fps must lie in (0, 1e6], one tick per us timestamp at most")
+        raise ConfigError(f"{name} must lie in (0, 1e6], "
+                          "one tick per us timestamp at most")
+
+
+def us_to_tick(t, fps: float) -> np.ndarray:
+    """Inverse of tick_to_us under check_fps's rule."""
+    check_fps(fps)
     return np.rint(np.asarray(t, dtype=np.float64) * fps / US_PER_S).astype(np.int64)
 
 
@@ -58,8 +64,7 @@ class FrameSeq:
                              f"(n, {self.height}, {self.width}, 3)")
         if self.frames.shape[0] < 2:
             raise ValueError("need at least 2 frames")
-        if not 0 < self.fps <= US_PER_S:
-            raise ValueError("fps must lie in (0, 1e6], one tick per us timestamp at most")
+        check_fps(self.fps)
         if not np.all(np.isfinite(self.frames)) or self.frames.min() < 0:
             raise ValueError("frame values must be finite and non-negative")
 
@@ -202,8 +207,7 @@ def voxelize(e: EventList, bin_fps: float, duration_us: int | None = None) -> Vo
     When duration_us is omitted it is taken as (last timestamp + 1), so the
     grid has ceil(duration * bin_fps) bins and every event lands inside.
     """
-    if not 0 < bin_fps <= US_PER_S:
-        raise ConfigError("bin_fps must lie in (0, 1e6], one bin per us tick at most")
+    check_fps(bin_fps, "bin_fps")
     r = e.records
     if duration_us is None:
         duration_us = int(r["t"].max()) + 1 if r.size else 1

@@ -61,7 +61,10 @@ def write_csv(e: EventList, path) -> None:
 
 def read_csv(path, width: int | None = None, height: int | None = None) -> EventList:
     """Read a CSV event file. Dims are inferred from the data unless given."""
-    lines = Path(path).read_text().splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: {exc}") from None
     if not lines or lines[0].strip() != _CSV_HEADER:
         raise FormatError(f"{path}: missing '{_CSV_HEADER}' header")
     rec = np.empty(len(lines) - 1, dtype=EVENT_DTYPE)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .core import US_PER_S, FrameSeq
+from .core import FrameSeq, check_fps
 from .errors import ConfigError
 
 KINDS = ("moving_edge", "grating", "flashing_light", "mixed")
@@ -25,11 +25,11 @@ _F32_MAX = float(np.finfo(np.float32).max)
 
 @dataclass(frozen=True)
 class SceneSpec:
-    kind: str
-    width: int
-    height: int
-    fps: float
-    duration: float             # seconds
+    kind: str = "moving_edge"
+    width: int = 64
+    height: int = 64
+    fps: float = 1000.0
+    duration: float = 0.25      # seconds
     velocity: float = 120.0     # px/s
     spatial_freq: float = 0.0625  # cycles/px
     flash_period: float = 0.1   # seconds
@@ -41,8 +41,7 @@ class SceneSpec:
             raise ConfigError(f"unknown scene kind {self.kind!r}")
         if not (0 < self.width <= _U16_MAX and 0 < self.height <= _U16_MAX):
             raise ConfigError("width and height must lie in [1, 65535] (FSEQ's u16)")
-        if not 0 < self.fps <= US_PER_S:
-            raise ConfigError("fps must lie in (0, 1e6], one tick per us timestamp at most")
+        check_fps(self.fps)
         if not 0 <= self.contrast <= 1:
             raise ConfigError("contrast must lie in [0, 1]")
         if not np.isfinite(self.velocity):

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import struct
 import subprocess
@@ -27,6 +28,28 @@ def test_config_file_and_overrides(tmp_path):
     assert cfg["sim.theta"] == 0.3
 
 
+def test_config_schema_is_pinned():
+    # every section.key, its default and its int/float type, as the
+    # hand-written DEFAULTS table had them before the config types held them
+    digest = hashlib.sha256(RunConfig().dump().encode()).hexdigest()
+    assert digest == ("564db0475aa9817c29b6d87af14d2e20"
+                      "d2e0b082fb74e00528959858b28185fc")
+
+
+@pytest.mark.parametrize("kind", ["not_utf8", "directory", "missing"])
+def test_unreadable_config_file_exits_1(tmp_path, capsys, kind):
+    path = tmp_path / "c.cfg"
+    if kind == "not_utf8":
+        path.write_bytes(b"scene.kind = \xff\n")
+    elif kind == "directory":
+        path.mkdir()
+    out = tmp_path / "o" / "c.fseq"
+    assert run("gen", "--out", str(out), "--config", str(path)) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("evsynth: ")
+    assert not out.parent.exists()
+
+
 def test_unknown_config_key_rejected(tmp_path):
     cfg = RunConfig()
     with pytest.raises(ConfigError):
@@ -53,6 +76,16 @@ def test_gen_noisy_output(tmp_path):
                "--set", "scene.duration=0.01") == 0
     a, b = formats.read_fseq(out), formats.read_fseq(noisy)
     assert not np.array_equal(a.frames, b.frames)
+
+
+def test_gen_creates_each_output_directory(tmp_path, capsys):
+    out, noisy = tmp_path / "a" / "c.fseq", tmp_path / "b" / "n.fseq"
+    assert run("gen", "--out", str(out), "--noisy-out", str(noisy),
+               "--set", "scene.width=8", "--set", "scene.height=8",
+               "--set", "scene.duration=0.01") == 0
+    assert capsys.readouterr().err == ""
+    assert formats.read_fseq(noisy).n_frames == formats.read_fseq(out).n_frames
+    assert (tmp_path / "a" / "run.cfg").read_text().startswith("# evsynth gen\n")
 
 
 def test_static_scene_simulates_to_zero_events(tmp_path):
@@ -197,6 +230,14 @@ def test_exit_codes(tmp_path, capsys):
 def test_out_of_range_csv_field_exits_2(tmp_path, capsys, record):
     ev = tmp_path / "f.csv"
     ev.write_text(f"t_us,x,y,p\n{record}\n")
+    assert run("hist", str(ev), "--out", str(tmp_path / "h.csv")) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("evsynth: ")
+
+
+def test_non_utf8_csv_exits_2(tmp_path, capsys):
+    ev = tmp_path / "f.csv"
+    ev.write_bytes(b"t_us,x,y,p\n\xff,0,0,1\n")
     assert run("hist", str(ev), "--out", str(tmp_path / "h.csv")) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("evsynth: ")
