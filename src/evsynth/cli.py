@@ -142,12 +142,14 @@ def _write_events(e: core.EventList, path) -> None:
 
 
 def cmd_gen(args, cfg: RunConfig) -> None:
+    # both clips are made before either is written, so a failure writes none
     clean = scenegen.gen_scene(SceneSpec(**cfg.values["scene"]))
-    formats.write_fseq(clean, _out_path(args.out))
+    outputs = [(args.out, clean)]
     if args.noisy_out:
         noise = NoiseModel(**cfg.values["noise"])
-        formats.write_fseq(scenegen.add_render_noise(clean, noise),
-                           _out_path(args.noisy_out))
+        outputs.append((args.noisy_out, scenegen.add_render_noise(clean, noise)))
+    for path, frames in outputs:
+        formats.write_fseq(frames, _out_path(path))
 
 
 def cmd_simulate(args, cfg: RunConfig) -> None:
@@ -187,22 +189,9 @@ def cmd_infer(args, cfg: RunConfig) -> None:
     _write_events(core.dense_to_sparse(spikes), args.out)
 
 
-def _events_to_train(e: core.EventList, fps: float, k: int, width: int,
-                     height: int) -> core.SpikeTrain:
-    widened = core.EventList(width, height, e.records)
-    return core.sparse_to_dense(widened, fps, k)
-
-
 def cmd_eval(args, cfg: RunConfig) -> None:
-    ea, eb = _read_events(args.events_a), _read_events(args.events_b)
-    fps = cfg["eval.fps"]
-    width, height = max(ea.width, eb.width), max(ea.height, eb.height)
-    last = [core.us_to_tick(e.records["t"], fps).max() for e in (ea, eb)
-            if len(e)]
-    k = int(max(last)) + 1 if last else 1
-    a = _events_to_train(ea, fps, k, width, height)
-    b = _events_to_train(eb, fps, k, width, height)
-    rep = metrics.stream_distance(a, b)
+    rep = metrics.event_distance(_read_events(args.events_a),
+                                 _read_events(args.events_b), cfg["eval.fps"])
     _out_path(args.out).write_text("metric,value\n"
                                    f"emd,{rep.emd:.8g}\n"
                                    f"count_ratio,{rep.count_ratio:.8g}\n"

@@ -8,7 +8,8 @@ Layout conventions used everywhere in the package:
   ties broken by ``(y, x)``
 
 Timestamps are integer microseconds; tick ``k`` at rate ``fps`` maps to
-``t = round(k * 1e6 / fps)``.
+``t = round(k * 1e6 / fps)``, and back to its nearest tick, a tie going to
+the later one; bin ``b`` at ``bin_fps`` holds ``floor(t * bin_fps / 1e6) == b``.
 """
 
 from __future__ import annotations
@@ -43,9 +44,23 @@ def check_fps(fps: float, name: str = "fps") -> None:
 
 
 def us_to_tick(t, fps: float) -> np.ndarray:
-    """Inverse of tick_to_us under check_fps's rule."""
+    """Nearest tick, a tie going to the later: floor(t*fps/1e6 + 1/2).  It
+    inverts tick_to_us, which rounds by <= 0.5 us when ticks last >= 1 us."""
     check_fps(fps)
-    return np.rint(np.asarray(t, dtype=np.float64) * fps / US_PER_S).astype(np.int64)
+    return np.floor(np.asarray(t, dtype=np.float64) * fps / US_PER_S + 0.5).astype(np.int64)
+
+
+def time_bins(t, bin_fps: float, duration_us: int | None = None) -> tuple[np.ndarray, int]:
+    """Each timestamp's bin floor(t * bin_fps / 1e6), and the bin count
+    ceil(duration * bin_fps / 1e6), the duration defaulting to last t + 1."""
+    check_fps(bin_fps, "bin_fps")
+    if duration_us is None:
+        duration_us = int(t.max()) + 1 if t.size else 1
+    n_bins = int(np.ceil(duration_us * bin_fps / US_PER_S))
+    b = (t.astype(np.int64) * bin_fps // US_PER_S).astype(np.int64)
+    if b.size and b.max() >= n_bins:
+        raise RangeError("events fall outside the stated duration")
+    return b, n_bins
 
 
 @dataclass
@@ -202,22 +217,11 @@ def sparse_to_dense(e: EventList, fps: float, k: int) -> SpikeTrain:
 
 
 def voxelize(e: EventList, bin_fps: float, duration_us: int | None = None) -> VoxelGrid:
-    """Bin events at bin_fps; bin index = floor(t * bin_fps / 1e6).
-
-    When duration_us is omitted it is taken as (last timestamp + 1), so the
-    grid has ceil(duration * bin_fps) bins and every event lands inside.
-    """
-    check_fps(bin_fps, "bin_fps")
+    """Bin events at bin_fps under time_bins's rule and bin count."""
     r = e.records
-    if duration_us is None:
-        duration_us = int(r["t"].max()) + 1 if r.size else 1
-    n_bins = int(np.ceil(duration_us * bin_fps / US_PER_S))
+    b, n_bins = time_bins(r["t"], bin_fps, duration_us)
     signed = np.zeros((n_bins, e.height, e.width), dtype=np.int64)
     unsigned = np.zeros_like(signed)
-    if r.size:
-        b = (r["t"].astype(np.int64) * bin_fps // US_PER_S).astype(np.int64)
-        if b.max() >= n_bins:
-            raise RangeError("events fall outside the stated duration")
-        np.add.at(signed, (b, r["y"], r["x"]), r["p"].astype(np.int64))
-        np.add.at(unsigned, (b, r["y"], r["x"]), 1)
+    np.add.at(signed, (b, r["y"], r["x"]), r["p"].astype(np.int64))
+    np.add.at(unsigned, (b, r["y"], r["x"]), 1)
     return VoxelGrid(e.width, e.height, bin_fps, signed, unsigned)

@@ -10,6 +10,9 @@ CSV:
 FSEQ (little-endian):
     magic "FSEQ" | u16 version=1 | u16 width | u16 height | u32 frame_count
     | f32 fps | u8 channels=3, then frames as row-major channel-interleaved f32
+
+EVT1, FSEQ and spikenet's EVSN share one container rule (_read_container): a
+header of magic and u16 version=1, then a body whose length the header fixes.
 """
 
 from __future__ import annotations
@@ -34,16 +37,21 @@ def write_evt1(e: EventList, path) -> None:
     Path(path).write_bytes(header + e.records.tobytes())
 
 
-def read_evt1(path) -> EventList:
+def _read_container(path, header: struct.Struct, magic: bytes) -> tuple[list, bytes]:
+    """A file's header fields after magic and version, and its unchecked body."""
     buf = Path(path).read_bytes()
-    if len(buf) < _EVT1_HEADER.size:
+    if len(buf) < header.size:
         raise FormatError(f"{path}: truncated header")
-    magic, version, width, height, count = _EVT1_HEADER.unpack_from(buf)
-    if magic != _EVT1_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
+    found, version, *fields = header.unpack_from(buf)
+    if found != magic:
+        raise FormatError(f"{path}: bad magic {found!r}")
     if version != 1:
         raise FormatError(f"{path}: unsupported version {version}")
-    body = buf[_EVT1_HEADER.size:]
+    return fields, buf[header.size:]
+
+
+def read_evt1(path) -> EventList:
+    (width, height, count), body = _read_container(path, _EVT1_HEADER, _EVT1_MAGIC)
     if len(body) != count * EVENT_DTYPE.itemsize:
         raise FormatError(f"{path}: expected {count} records, "
                           f"got {len(body)} payload bytes")
@@ -100,17 +108,10 @@ def write_fseq(f: FrameSeq, path) -> None:
 
 
 def read_fseq(path) -> FrameSeq:
-    buf = Path(path).read_bytes()
-    if len(buf) < _FSEQ_HEADER.size:
-        raise FormatError(f"{path}: truncated header")
-    magic, version, width, height, n_frames, fps, channels = _FSEQ_HEADER.unpack_from(buf)
-    if magic != _FSEQ_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    if version != 1:
-        raise FormatError(f"{path}: unsupported version {version}")
+    (width, height, n_frames, fps, channels), body = _read_container(
+        path, _FSEQ_HEADER, _FSEQ_MAGIC)
     if channels != 3:
         raise FormatError(f"{path}: expected 3 channels, got {channels}")
-    body = buf[_FSEQ_HEADER.size:]
     expect = n_frames * height * width * 3 * 4
     if len(body) != expect:
         raise FormatError(f"{path}: expected {expect} payload bytes, got {len(body)}")

@@ -8,7 +8,7 @@ anything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -143,9 +143,7 @@ def _gray_frames(spec: SceneSpec) -> np.ndarray:
             strip_h = thirds[i + 1] - thirds[i]
             if strip_h == 0:
                 continue
-            sub = SceneSpec(kind, w, strip_h, spec.fps, spec.duration,
-                            spec.velocity, spec.spatial_freq, spec.flash_period,
-                            spec.contrast, spec.seed + i + 1)
+            sub = replace(spec, kind=kind, height=strip_h, seed=spec.seed + i + 1)
             out[:, thirds[i]:thirds[i + 1], :] = _gray_frames(sub)
     return out
 

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import rng
+from . import formats, rng
 from .core import LogDiffSeq, SpikeTrain
 from .errors import ConfigError, FormatError, ShapeError
 from .spiking import (LifParams, SurrogateConfig, bilif_fold, soft_bilif,
@@ -442,60 +442,40 @@ def infer_stream(x: LogDiffSeq, p: SpikeNetParams, cfg: SpikeNetConfig,
 # checkpoint format "EVSN"
 
 _EVSN_MAGIC = b"EVSN"
-_EVSN_HEADER = struct.Struct("<4sH")
-_EVSN_CONFIG = struct.Struct("<6f")
+_EVSN_HEADER = struct.Struct("<4sH6f")
 
 
 def save_checkpoint(path, p: SpikeNetParams, cfg: SpikeNetConfig) -> None:
     """Write magic, version, config block, then tensors (f32, dims-prefixed)."""
-    parts = [_EVSN_HEADER.pack(_EVSN_MAGIC, 1),
-             _EVSN_CONFIG.pack(cfg.channels, cfg.kernel, cfg.depth,
+    parts = [_EVSN_HEADER.pack(_EVSN_MAGIC, 1, cfg.channels, cfg.kernel, cfg.depth,
                                cfg.lif.tau, cfg.lif.v_th, cfg.surrogate.alpha)]
     for t in p.tensors():
-        parts.append(struct.pack("<I", t.ndim))
-        parts.append(struct.pack(f"<{t.ndim}I", *t.shape))
+        parts.append(struct.pack(f"<{t.ndim + 1}I", t.ndim, *t.shape))
         parts.append(np.ascontiguousarray(t, dtype="<f4").tobytes())
     Path(path).write_bytes(b"".join(parts))
 
 
 def load_checkpoint(path) -> tuple[SpikeNetParams, SpikeNetConfig]:
-    buf = Path(path).read_bytes()
-    if len(buf) < _EVSN_HEADER.size + _EVSN_CONFIG.size:
-        raise FormatError(f"{path}: truncated header")
-    magic, version = _EVSN_HEADER.unpack_from(buf)
-    if magic != _EVSN_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    if version != 1:
-        raise FormatError(f"{path}: unsupported version {version}")
-    c, k, m, tau, v_th, alpha = _EVSN_CONFIG.unpack_from(buf, _EVSN_HEADER.size)
+    (c, k, m, tau, v_th, alpha), body = formats._read_container(
+        path, _EVSN_HEADER, _EVSN_MAGIC)
     try:
-        cfg = SpikeNetConfig(int(c), int(k), int(m), LifParams(tau, v_th),
-                             SurrogateConfig(alpha))
+        c, k, m = int(c), int(k), int(m)
+        cfg = SpikeNetConfig(c, k, m, LifParams(tau, v_th), SurrogateConfig(alpha))
     except (ValueError, OverflowError) as exc:  # ConfigError, int(nan), int(inf)
         raise FormatError(f"{path}: bad config block: {exc}") from None
-    off = _EVSN_HEADER.size + _EVSN_CONFIG.size
-    tensors = []
-    for shape in param_shapes(cfg):
-        if off + 4 > len(buf):
-            raise FormatError(f"{path}: truncated tensor table")
-        (rank,) = struct.unpack_from("<I", buf, off)
-        off += 4
-        if rank != len(shape):
-            raise FormatError(f"{path}: tensor rank {rank} != expected {len(shape)}")
-        if off + 4 * rank > len(buf):
-            raise FormatError(f"{path}: truncated tensor dims")
-        dims = struct.unpack_from(f"<{rank}I", buf, off)
-        off += 4 * rank
-        if dims != shape:
-            raise FormatError(f"{path}: tensor dims {dims} != expected {shape}")
-        n = int(np.prod(shape))
-        if off + 4 * n > len(buf):
-            raise FormatError(f"{path}: truncated tensor data")
-        t = np.frombuffer(buf, dtype="<f4", count=n, offset=off).reshape(shape)
+    # each tensor is u32 rank, u32 dims, f32 data: the table's size in closed
+    # form, checked before param_shapes, so a false header allocates nothing
+    size = 52 + 4 * c * k + 8 * c + m * (48 + 8 * c * c * k + 8 * c)
+    if len(body) != size:
+        raise FormatError(f"{path}: expected {size} tensor-table bytes, got {len(body)}")
+    off, tensors = 0, []
+    for i, shape in enumerate(param_shapes(cfg)):
+        prefix = struct.pack(f"<{len(shape) + 1}I", len(shape), *shape)
+        if body[off:off + len(prefix)] != prefix:
+            raise FormatError(f"{path}: tensor {i} rank or dims differ from {shape}")
+        t = np.frombuffer(body, "<f4", int(np.prod(shape)), off + len(prefix))
         if not np.isfinite(t).all():
-            raise FormatError(f"{path}: non-finite weights in tensor {len(tensors)}")
-        tensors.append(t.copy())
-        off += 4 * n
-    if off != len(buf):
-        raise FormatError(f"{path}: trailing bytes")
+            raise FormatError(f"{path}: non-finite weights in tensor {i}")
+        tensors.append(t.reshape(shape).copy())
+        off += len(prefix) + t.nbytes
     return SpikeNetParams.from_tensors(tensors), cfg

@@ -1,12 +1,16 @@
+import contextlib
 import hashlib
+import io
 import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import evsynth
 from evsynth import core, formats, spikenet
@@ -86,6 +90,17 @@ def test_gen_creates_each_output_directory(tmp_path, capsys):
     assert capsys.readouterr().err == ""
     assert formats.read_fseq(noisy).n_frames == formats.read_fseq(out).n_frames
     assert (tmp_path / "a" / "run.cfg").read_text().startswith("# evsynth gen\n")
+
+
+@pytest.mark.parametrize("gain", ["-1", "1e40"])  # refused, float32 overflow
+def test_gen_writes_nothing_when_the_noisy_copy_fails(tmp_path, capsys, gain):
+    out = tmp_path / "g"
+    assert run("gen", "--out", str(out / "c.fseq"), "--noisy-out",
+               str(out / "n.fseq"), "--set", "scene.width=8",
+               "--set", "scene.height=8", "--set", "scene.duration=0.01",
+               "--set", f"noise.gain={gain}") == 1
+    assert capsys.readouterr().err.startswith("evsynth: ")
+    assert not out.exists()
 
 
 def test_static_scene_simulates_to_zero_events(tmp_path):
@@ -174,6 +189,32 @@ def test_eval_reports_zero_for_identical_streams(tmp_path):
     rows = dict(line.split(",") for line in report.read_text().splitlines()[1:])
     assert float(rows["emd"]) == 0.0
     assert float(rows["count_ratio"]) == 1.0
+
+
+def test_eval_at_a_coarser_rate_than_the_clip(tmp_path):
+    # 500 fps ticks over a 1 kHz clip hold several events of a pixel
+    fseq = _gen_moving(tmp_path)
+    ev = tmp_path / "ev.evt1"
+    assert run("simulate", str(fseq), "--out", str(ev)) == 0
+    report = tmp_path / "report.csv"
+    assert run("eval", str(ev), str(ev), "--out", str(report),
+               "--set", "eval.fps=500") == 0
+    rows = dict(line.split(",") for line in report.read_text().splitlines()[1:])
+    assert float(rows["emd"]) == 0.0
+    assert float(rows["count_ratio"]) == 1.0
+
+
+def test_hist_of_a_sparse_long_clip(tmp_path):
+    # 32 bytes: a 640x480 header and two events 4e9 us apart, so 7.4e10
+    # pixel-bins at 60 fps, nearly all of them empty
+    ev = tmp_path / "long.evt1"
+    formats.write_evt1(core.EventList.from_arrays(
+        640, 480, t=[0, 4_000_000_000], x=[0, 5], y=[0, 7], p=[1, -1]), ev)
+    assert len(ev.read_bytes()) == 32
+    out = tmp_path / "h.csv"
+    assert run("hist", str(ev), "--out", str(out)) == 0
+    lines = out.read_text().splitlines()
+    assert lines[1:3] == [f"0,{240001 * 640 * 480 - 2}", "1,2"]
 
 
 def test_csv_output_path(tmp_path):
@@ -401,3 +442,51 @@ def test_fseq_fps_above_1e6_exits_2(tmp_path, capsys):
     assert main(["simulate", str(clip), "--out", str(tmp_path / "ev.evt1")]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("evsynth: ")
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """Valid 8x8 FSEQ, EVSN and EVT1 files for the reader fuzzer."""
+    d = tmp_path_factory.mktemp("fuzz")
+    gen = np.random.default_rng(3)
+    formats.write_fseq(core.FrameSeq(8, 8, 1000.0, gen.uniform(
+        0.1, 1.0, (3, 8, 8, 3))), d / "ok.fseq")
+    cfg = SpikeNetConfig(channels=2, kernel=3, depth=1)
+    spikenet.save_checkpoint(d / "ok.evsn", init_params(cfg, 1), cfg)
+    spikes = gen.choice([-1, 0, 0, 0, 1], (4, 8, 8)).astype(np.int8)
+    formats.write_evt1(core.dense_to_sparse(core.SpikeTrain(8, 8, 1000.0, spikes)),
+                       d / "ok.evt1")
+    return d
+
+
+_FUZZ_ROUTES = {"fseq": ["simulate"], "evsn": ["infer", "{dir}/ok.fseq"],
+                "evt1": ["hist"]}
+
+
+@settings(max_examples=300)
+@given(kind=st.sampled_from(sorted(_FUZZ_ROUTES)),
+       mutation=st.one_of(  # 1-3 (position, xor mask) edits, or a length
+           st.lists(st.tuples(st.integers(0, 4095), st.integers(1, 255)),
+                    min_size=1, max_size=3),
+           st.integers(0, 4095)))
+@example(kind="evt1", mutation=[(7, 0xFF), (9, 0xFF)])  # 65288x65288 sensor
+def test_mutated_input_file_exits_0_or_2(fuzz_dir, kind, mutation):
+    data = bytearray((fuzz_dir / f"ok.{kind}").read_bytes())
+    if isinstance(mutation, int):
+        data = data[:mutation % len(data)]
+    else:
+        for pos, mask in mutation:
+            data[pos % len(data)] ^= mask
+    bad = fuzz_dir / f"bad.{kind}"
+    bad.write_bytes(bytes(data))
+    argv = [a.format(dir=fuzz_dir) for a in _FUZZ_ROUTES[kind]]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as warned:
+        warnings.simplefilter("always")
+        code = main([*argv, str(bad), "--out", str(fuzz_dir / "out" / "o.csv")])
+    lines = err.getvalue().splitlines() + [str(w.message) for w in warned]
+    assert code in (0, 2)
+    if code:
+        assert len(lines) == 1 and lines[0].startswith("evsynth: "), lines
+    else:
+        assert lines == []

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from evsynth.core import (EventList, SpikeTrain, dense_to_sparse,
-                          sparse_to_dense, tick_to_us, voxelize)
+                          sparse_to_dense, tick_to_us, us_to_tick, voxelize)
 from evsynth.errors import CollisionError, ConfigError, RangeError
 
 from conftest import random_event_list
@@ -109,6 +109,12 @@ def test_voxelize_explicit_duration():
     grid = voxelize(ev, 60.0, duration_us=1_000_000)
     assert grid.n_bins == 60
     assert grid.unsigned.sum() == 1
+
+
+def test_us_to_tick_rounds_ties_to_the_later_tick():
+    # 500 fps ticks of a 1 kHz clip each take one on-grid stamp and one tie
+    assert us_to_tick([1000, 3000, 5000], 500.0).tolist() == [1, 2, 3]
+    assert us_to_tick([0, 999, 1000, 1001], 1000.0).tolist() == [0, 1, 1, 1]
 
 
 @pytest.mark.parametrize("rate", [0.0, -1.0, np.nan, np.inf])

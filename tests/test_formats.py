@@ -7,6 +7,8 @@ from evsynth.core import EVENT_DTYPE, FrameSeq
 from evsynth.errors import FormatError, RangeError
 from evsynth.formats import (read_csv, read_evt1, read_fseq, write_csv,
                              write_evt1, write_fseq)
+from evsynth.spikenet import (SpikeNetConfig, init_params, load_checkpoint,
+                              save_checkpoint)
 
 from conftest import random_event_list
 
@@ -98,3 +100,25 @@ def test_fseq_bad_version(tmp_path, rng):
     path.write_bytes(bytes(raw))
     with pytest.raises(FormatError):
         read_fseq(path)
+
+
+@pytest.mark.parametrize("fault,message", [
+    (lambda raw: raw[:12], "truncated header"),
+    (lambda raw: b"XXXX" + raw[4:], "bad magic b'XXXX'"),
+    (lambda raw: raw[:4] + b"\x02\x00" + raw[6:], "unsupported version 2"),
+    (lambda raw: raw + b"\x00", "expected"),
+], ids=["truncated", "magic", "version", "appended"])
+def test_one_container_rule_for_every_binary_format(tmp_path, rng, fault, message):
+    cfg = SpikeNetConfig(channels=2, kernel=3, depth=1)
+    writers = {
+        read_evt1: lambda p: write_evt1(random_event_list(rng, n=5), p),
+        read_fseq: lambda p: write_fseq(FrameSeq(2, 2, 100.0, rng.random(
+            (2, 2, 2, 3), dtype=np.float32)), p),
+        load_checkpoint: lambda p: save_checkpoint(p, init_params(cfg), cfg),
+    }
+    for read, write in writers.items():
+        path = tmp_path / "file.bin"
+        write(path)
+        path.write_bytes(fault(path.read_bytes()))
+        with pytest.raises(FormatError, match=message):
+            read(path)

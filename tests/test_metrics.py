@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from evsynth.core import EventList, SpikeTrain
-from evsynth.errors import ShapeError
+from evsynth.core import EventList, SpikeTrain, dense_to_sparse
+from evsynth.errors import RangeError, ShapeError
 from evsynth.loss import emd_polar
-from evsynth.metrics import intensity_histogram, stream_distance
+from evsynth.metrics import event_distance, intensity_histogram, stream_distance
 
 from conftest import random_event_list
 
@@ -103,3 +103,27 @@ def test_metric_agrees_with_loss_module(rng):
     per_pixel = emd_polar(a.pixel_sequences().astype(float),
                           b.pixel_sequences().astype(float))
     assert rep.emd == pytest.approx(float(per_pixel.mean()), abs=1e-12)
+
+
+def test_event_distance_at_the_tick_rate_equals_stream_distance(rng):
+    data = rng.integers(-1, 2, size=(2, 30, 3, 5)).astype(np.int8)
+    data[:, -1] = 1  # both streams reach the last tick
+    a, b = train_from(data[0]), train_from(data[1])
+    got = event_distance(dense_to_sparse(a), dense_to_sparse(b), 1000.0)
+    assert got == stream_distance(a, b)
+
+
+def test_event_distance_counts_several_events_per_tick():
+    # two 1 kHz events of one pixel share a 500 fps tick without colliding
+    a = EventList.from_arrays(2, 1, t=[1000, 1900], x=[1, 1], y=[0, 0], p=[1, 1])
+    rep = event_distance(a, a, 500.0)
+    assert (rep.emd, rep.count_ratio, rep.pixels) == (0.0, 1.0, 2)
+    b = EventList.from_arrays(1, 1, t=[1000, 2000], x=[0, 0], y=[0, 0], p=[1, -1])
+    rep = event_distance(a, b, 500.0)
+    assert rep.pos_ratio == 2.0 and rep.neg_ratio == 0.0
+
+
+def test_histogram_bucket_0_past_int64_is_range_error():
+    ev = EventList.from_arrays(65535, 65535, t=[2**32 - 1], x=[0], y=[0], p=[1])
+    with pytest.raises(RangeError):
+        intensity_histogram(ev, bin_fps=1e6)

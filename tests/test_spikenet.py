@@ -433,6 +433,15 @@ def test_checkpoint_bad_config_block_is_format_error(tmp_path, field, value):
         load_checkpoint(path)
 
 
+def test_checkpoint_sized_before_its_tensor_table_is_built(tmp_path):
+    # a 30-byte header claiming 2**24 residual blocks: param_shapes would
+    # list 2**26 shapes, but the body length is refused first
+    path = tmp_path / "deep.evsn"
+    path.write_bytes(struct.pack("<4sH6f", b"EVSN", 1, 32, 7, 2**24, 2.0, 1.0, 2.0))
+    with pytest.raises(FormatError, match="tensor-table bytes"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_rejects_non_finite_weights(tmp_path):
     cfg = small_cfg()
     params = init_params(cfg, 0)
