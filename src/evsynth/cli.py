@@ -293,7 +293,7 @@ def main(argv=None) -> int:
         run_cfg = (out if out.is_dir() else out.parent) / "run.cfg"
         _out_path(run_cfg).write_text(f"# evsynth {args.command}\n" + cfg.dump())
         return 0
-    except (EvsynthError, OSError) as exc:
+    except (EvsynthError, OSError, MemoryError) as exc:
         print(f"evsynth: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 2)
 

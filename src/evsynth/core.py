@@ -94,55 +94,50 @@ class FrameSeq:
 
 
 @dataclass
-class LogDiffSeq:
-    """Per-pixel log-luminance differences, time-major ``(K, H, W)``."""
+class _PixelSeq:
+    """Per-pixel sequences, time-major ``(K, H, W)``, in the dtype a subclass
+    states as ``_DTYPE``; its ``_check_values`` states its value rule."""
 
     width: int
     height: int
     fps: float
-    data: np.ndarray  # (K, height, width) float32
+    data: np.ndarray  # (K, height, width)
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.float32)
+        self.data = np.asarray(self.data, dtype=self._DTYPE)
         if self.data.ndim != 3 or self.data.shape[1:] != (self.height, self.width):
             raise ValueError(f"data shape {self.data.shape} does not match "
                              f"(K, {self.height}, {self.width})")
+        self._check_values()
+
+    @property
+    def k(self) -> int:
+        return self.data.shape[0]
+
+    def pixel_sequences(self) -> np.ndarray:
+        """Contiguous ``(H*W, K)`` copy with pixels in row-major (y, x) order."""
+        return np.ascontiguousarray(self.data.transpose(1, 2, 0).reshape(-1, self.k))
+
+
+class LogDiffSeq(_PixelSeq):
+    """Per-pixel log-luminance differences: finite float32."""
+
+    _DTYPE = np.float32
+
+    def _check_values(self):
         if not np.all(np.isfinite(self.data)):
             raise ValueError("entries must be finite")
 
-    @property
-    def k(self) -> int:
-        return self.data.shape[0]
 
-    def pixel_sequences(self) -> np.ndarray:
-        """View as ``(H*W, K)`` with pixels in row-major (y, x) order."""
-        return np.ascontiguousarray(self.data.transpose(1, 2, 0).reshape(-1, self.k))
+class SpikeTrain(_PixelSeq):
+    """Dense event stream: one int8 {-1, 0, +1} entry per (tick, pixel)."""
 
+    _DTYPE = np.int8
 
-@dataclass
-class SpikeTrain:
-    """Dense event stream: one {-1, 0, +1} entry per (tick, pixel)."""
-
-    width: int
-    height: int
-    fps: float
-    data: np.ndarray  # (K, height, width) int8
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.int8)
-        if self.data.ndim != 3 or self.data.shape[1:] != (self.height, self.width):
-            raise ValueError(f"data shape {self.data.shape} does not match "
-                             f"(K, {self.height}, {self.width})")
+    def _check_values(self):
         bad = np.setdiff1d(np.unique(self.data), [-1, 0, 1])
         if bad.size:
             raise ValueError(f"entries outside {{-1,0,1}}: {bad}")
-
-    @property
-    def k(self) -> int:
-        return self.data.shape[0]
-
-    def pixel_sequences(self) -> np.ndarray:
-        return np.ascontiguousarray(self.data.transpose(1, 2, 0).reshape(-1, self.k))
 
 
 @dataclass

@@ -121,7 +121,6 @@ def loss_grad(e, s, cfg: LossConfig = LossConfig()) -> np.ndarray:
     pos_mask = sp >= 0
     g = np.where(pos_mask, _emd_bidir_grad(_pos(ep), _pos(sp)), 0.0)
     g -= np.where(~pos_mask, _emd_bidir_grad(_pos(-ep), _pos(-sp)), 0.0)
-    if cfg.count_weight:
-        mass = np.abs(sp).sum(axis=-1, keepdims=True) - np.abs(ep).sum(axis=-1, keepdims=True)
-        g += cfg.count_weight * np.sign(mass) * np.sign(sp)
+    mass = np.abs(sp).sum(axis=-1, keepdims=True) - np.abs(ep).sum(axis=-1, keepdims=True)
+    g += cfg.count_weight * np.sign(mass) * np.sign(sp)
     return g / ep.shape[0]

@@ -24,8 +24,9 @@ class LuminanceConfig:
     rho_log: float = 0.02  # knee of the lin-log map, in luminance units
 
     def __post_init__(self):
-        if not 0 < self.rho_log < 1:
-            raise ConfigError("rho_log must lie in (0, 1)")
+        # float(): Python's division gives inf without numpy's overflow warning
+        if not (0 < self.rho_log < 1 and np.isfinite(float(np.log(self.rho_log)) / self.rho_log)):
+            raise ConfigError("rho_log must lie in (0, 1) with ln(rho)/rho finite")
 
 
 def luma(rgb) -> np.ndarray:

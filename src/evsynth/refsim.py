@@ -87,6 +87,7 @@ def _simulate_rows(x: np.ndarray, fps: float, cfg: RefSimConfig, key: np.ndarray
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def simulate(x: LogDiffSeq, cfg: RefSimConfig, return_state: bool = False):
     """Run the sensor model over a LogDiffSeq; returns a SpikeTrain.
 
@@ -100,6 +101,9 @@ def simulate(x: LogDiffSeq, cfg: RefSimConfig, return_state: bool = False):
     else:
         v = (2.0 * rng.unit_uniform(rng.fold(key, _SALT_INIT)) - 1.0) * theta_p
     out = _simulate_rows(x.data.astype(np.float64), x.fps, cfg, key, theta_p, v)
+    # a non-finite threshold or potential leaves inf or nan in v for good
+    if not np.isfinite(v).all():
+        raise ConfigError("thresholds or membrane potentials overflow; lower theta")
     train = SpikeTrain(x.width, x.height, x.fps, out)
     return (train, v) if return_state else train
 

@@ -46,6 +46,8 @@ class SceneSpec:
             raise ConfigError("contrast must lie in [0, 1]")
         if not np.isfinite(self.velocity):
             raise ConfigError("velocity must be finite")
+        if not 0 < self.flash_period < np.inf:
+            raise ConfigError("flash_period must be finite and positive")
         if not self.duration * self.fps < 2**32 - 0.5:
             raise ConfigError("duration*fps exceeds FSEQ's u32 frame count")
         if self.n_frames < 2:
@@ -97,18 +99,17 @@ def bar_edges(spec: SceneSpec, k) -> tuple[np.ndarray, np.ndarray]:
     return lead, (lead - bar_width(spec)) % spec.width
 
 
-def _interval_coverage(lo: float, hi: float, width: int) -> np.ndarray:
-    """Covered fraction of each unit pixel [i, i+1) by [lo, hi) mod width."""
+def _interval_coverage(lo: np.ndarray, hi: np.ndarray, width: int) -> np.ndarray:
+    """(len(lo), width) covered fraction of each pixel [i, i+1) by [lo, hi) mod width."""
     cols = np.arange(width, dtype=np.float64)
 
     def seg(a, b):
         return np.clip(b - cols, 0.0, 1.0) - np.clip(a - cols, 0.0, 1.0)
 
-    span = hi - lo
-    lo %= width
-    if lo + span <= width:
-        return seg(lo, lo + span)
-    return seg(lo, width) + seg(0.0, lo + span - width)
+    span = (hi - lo)[:, None]
+    lo = (lo % width)[:, None]
+    # the part past width wraps to the start; it is exactly 0 when none does
+    return seg(lo, lo + span) + seg(lo - width, lo + span - width)
 
 
 def _gray_frames(spec: SceneSpec) -> np.ndarray:
@@ -119,11 +120,9 @@ def _gray_frames(spec: SceneSpec) -> np.ndarray:
     out = np.empty((n, h, w), dtype=np.float64)
 
     if spec.kind == "moving_edge":
-        bw = bar_width(spec)
-        for k in range(n):
-            lead, _ = bar_edges(spec, k)
-            row = lo + (hi - lo) * _interval_coverage(lead - bw, lead, w)
-            out[k] = row
+        lead, _ = bar_edges(spec, ks)
+        cover = _interval_coverage(lead - bar_width(spec), lead, w)
+        out[:] = (lo + (hi - lo) * cover)[:, None, :]
     elif spec.kind == "grating":
         x = np.arange(w, dtype=np.float64) + 0.5
         amp = 0.45 * spec.contrast
@@ -150,7 +149,10 @@ def _gray_frames(spec: SceneSpec) -> np.ndarray:
 
 def gen_scene(spec: SceneSpec) -> FrameSeq:
     """Render the scene analytically; deterministic in spec (incl. seed)."""
-    gray = _gray_frames(spec)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gray = _gray_frames(spec)
+    if not np.isfinite(gray).all():
+        raise ConfigError("scene motion overflows; lower velocity or spatial_freq")
     frames = np.repeat(gray[..., None], 3, axis=-1).astype(np.float32)
     return FrameSeq(spec.width, spec.height, spec.fps, frames)
 

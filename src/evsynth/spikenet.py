@@ -30,6 +30,7 @@ from .spiking import (LifParams, SurrogateConfig, bilif_fold, soft_bilif,
 _SALT_V0 = 31
 _F32_MAX = float(np.finfo(np.float32).max)
 _TILE = 4096  # output columns per conv GEMM
+_BLOCK = 512  # pixels per infer_stream block
 
 
 @dataclass(frozen=True)
@@ -309,9 +310,8 @@ def _conv_stack(x2d: np.ndarray, p: SpikeNetParams,
     return conv1d(h, p.w_head, p.b_head)[:, 0, :]
 
 
-def forward(x, p: SpikeNetParams, cfg: SpikeNetConfig, v0=0.0,
-            mode: str = "hard"):
-    """Run the network; returns (spikes, cache).
+def forward(x, p: SpikeNetParams, cfg: SpikeNetConfig, mode: str = "hard"):
+    """Run the network from a membrane at 0; returns (spikes, cache).
 
     mode="hard" emits {-1,0,+1} spikes, mode="soft" emits the smooth
     relaxation used for the training loss.  Membrane dynamics (including
@@ -326,7 +326,7 @@ def forward(x, p: SpikeNetParams, cfg: SpikeNetConfig, v0=0.0,
     acts = {"hs": [], "rs": []}
     logits = _conv_stack(x2d, p, acts)
 
-    spikes, vprime, _ = bilif_fold(logits, cfg.lif, v0)
+    spikes, vprime, _ = bilif_fold(logits, cfg.lif, 0.0)
     out = spikes if mode == "hard" else soft_bilif(vprime, cfg.lif, cfg.surrogate)
     hs, rs = acts["hs"], acts["rs"]
     cache = ForwardCache(x2d, hs[0], hs, rs, rs, hs[1:], logits, vprime)
@@ -389,7 +389,7 @@ def backward(grad_spikes, cache: ForwardCache, p: SpikeNetParams,
 
 def _infer_rows(xpix: np.ndarray, p: SpikeNetParams, cfg: SpikeNetConfig,
                 v0: np.ndarray, chunk: int, out: np.ndarray) -> None:
-    """Stream row block xpix (B, K) through the network in time chunks.
+    """Stream pixel block xpix (B, K) through the network in time chunks.
 
     Each chunk [a, b) runs the full-forward stack on the window
     [a - halo, b + halo) clipped to [0, K).  'same' padding is exact at the
@@ -414,16 +414,16 @@ def infer_stream(x: LogDiffSeq, p: SpikeNetParams, cfg: SpikeNetConfig,
     """Windowed streaming inference over a LogDiffSeq.
 
     Output is bit-identical to running forward() on each pixel's full
-    sequence; memory per pixel stays O(chunk + receptive field).  Pixels run
-    in fixed row blocks, one after another; the GEMMs inside parallelize
-    through BLAS threads.  The membrane state is carried across chunks.
+    sequence, whichever y-major block of _BLOCK pixels it runs in (a block
+    may split a row); memory per pixel stays O(chunk + receptive field).
+    BLAS threads parallelize the GEMMs; the membrane carries across chunks.
     """
     if v0_mode not in ("zero", "uniform"):
         raise ConfigError("v0_mode must be 'zero' or 'uniform'")
     if not 0 <= seed < 2**64:
         raise ConfigError("seed must lie in [0, 2**64)")
     k, h, w = x.data.shape
-    pix = x.data.transpose(1, 2, 0).reshape(h * w, k)  # (H*W, K), y-major
+    pix = x.pixel_sequences()
     if v0_mode == "zero":
         v0 = np.zeros(h * w)
     else:
@@ -431,9 +431,8 @@ def infer_stream(x: LogDiffSeq, p: SpikeNetParams, cfg: SpikeNetConfig,
         v0 = (2.0 * u - 1.0) * cfg.lif.v_th
 
     out = np.empty((h * w, k), dtype=np.int8)
-    rows_per_block = max(1, 512 // max(w, 1))
-    for r in range(0, h, rows_per_block):
-        a, b = r * w, min(r + rows_per_block, h) * w
+    for a in range(0, h * w, _BLOCK):
+        b = a + _BLOCK
         _infer_rows(pix[a:b], p, cfg, v0[a:b], chunk, out[a:b])
     return SpikeTrain(x.width, x.height, x.fps, out.reshape(h, w, k).transpose(2, 0, 1))
 

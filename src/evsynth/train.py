@@ -72,14 +72,14 @@ def make_dataset(scenes: list[SceneSpec], noise: NoiseModel, ref: RefSimConfig,
     return pairs
 
 
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
+
+
 @dataclass
 class AdamState:
     m: list[np.ndarray]
     v: list[np.ndarray]
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_tensors(cls, tensors: list[np.ndarray]) -> "AdamState":
@@ -91,13 +91,13 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray],
               state: AdamState, lr: float) -> tuple[list[np.ndarray], AdamState]:
     """Bias-corrected adaptive-moment update; elementwise and functional."""
     state.t += 1
-    c1 = 1.0 - state.beta1 ** state.t
-    c2 = 1.0 - state.beta2 ** state.t
+    c1 = 1.0 - _BETA1 ** state.t
+    c2 = 1.0 - _BETA2 ** state.t
     out = []
     for i, (p, g) in enumerate(zip(params, grads)):
-        state.m[i] = state.beta1 * state.m[i] + (1 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1 - state.beta2) * g * g
-        out.append(p - lr * (state.m[i] / c1) / (np.sqrt(state.v[i] / c2) + state.eps))
+        state.m[i] = _BETA1 * state.m[i] + (1 - _BETA1) * g
+        state.v[i] = _BETA2 * state.v[i] + (1 - _BETA2) * g * g
+        out.append(p - lr * (state.m[i] / c1) / (np.sqrt(state.v[i] / c2) + _EPS))
     return out, state
 
 
@@ -111,9 +111,8 @@ def clip_global_norm(grads: list[np.ndarray], max_norm: float) -> tuple[list[np.
 
 
 def _stack_pixels(data: list[DatasetPair]) -> tuple[np.ndarray, np.ndarray]:
-    xs = np.concatenate([p.x.pixel_sequences() for p in data])
-    es = np.concatenate([p.e.pixel_sequences() for p in data])
-    return xs.astype(np.float32), es
+    return (np.concatenate([p.x.pixel_sequences() for p in data]),
+            np.concatenate([p.e.pixel_sequences() for p in data]))
 
 
 def holdout_split(n_pix: int, t_cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import os
+import resource
 import struct
 import subprocess
 import sys
@@ -427,11 +428,44 @@ def test_adversarial_config_value_ends_in_exit_code(tmp_path, capsys,
     ("gen", "--set scene.width=70000"),
     ("gen", "--set scene.fps=1e39 --set scene.duration=2e-36"),
     ("gen", "--set scene.fps=2e6"),
+    ("gen", "--set scene.velocity=1e308"),
+    ("gen", "--set scene.kind=grating --set scene.spatial_freq=1e308"),
+    ("gen", "--set scene.kind=flashing_light --set scene.flash_period=0"),
+    ("simulate", "--set lum.rho_log=1e-320"),  # ln(rho)/rho overflows
+    ("simulate", "--set sim.theta=1e300 --set sim.sigma_theta=1e10"),
+    # leak and shot events in one tick push a potential past float64
+    ("simulate", "--set sim.theta=1e308 --set sim.leak_rate=500 --set sim.shot_rate=500"),
 ])
 def test_out_of_range_value_exits_1(tmp_path, capsys, sweep_inputs, command,
                                     bad):
-    assert main(_sweep_argv(command, sweep_inputs, tmp_path) + bad.split()) == 1
-    assert capsys.readouterr().err.startswith("evsynth: ")
+    with warnings.catch_warnings(record=True) as warned:
+        warnings.simplefilter("always")
+        code = main(_sweep_argv(command, sweep_inputs, tmp_path) + bad.split())
+    lines = capsys.readouterr().err.splitlines() + [str(w.message) for w in warned]
+    assert code == 1
+    assert len(lines) == 1 and lines[0].startswith("evsynth: "), lines
+
+
+@pytest.mark.parametrize("argv", [
+    ["hist", "{ev}", "--set", "eval.buckets=4294967296"],  # 32 GiB of counters
+    ["gen", "--set", "scene.width=65535", "--set", "scene.height=65535",
+     "--set", "scene.duration=0.002"],  # two 65535x65535 float64 frames
+], ids=["hist", "gen"])
+def test_allocation_past_memory_exits_2(tmp_path, sweep_inputs, argv):
+    # the address-space cap is set in the child only, so the allocation fails
+    # at once instead of paging
+    cap = 3 << 30
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(evsynth.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "evsynth.cli",
+         *[a.format(ev=sweep_inputs[1]) for a in argv],
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    lines = proc.stderr.splitlines()
+    assert proc.returncode == 2, proc.stderr
+    assert len(lines) == 1 and lines[0].startswith("evsynth: Unable to allocate"), lines
 
 
 def test_fseq_fps_above_1e6_exits_2(tmp_path, capsys):

@@ -318,30 +318,31 @@ def test_input_gradient_matches_finite_differences():
     assert np.abs(dx - fd).max() <= 1e-5 * np.abs(fd).max()
 
 
-_STREAM_CASES = {
-    "ragged": (5, 2, 200, 37),            # ragged last chunk
-    "kernel1": (1, 2, 50, 7),             # kernel 1: no halo
-    "K_under_halo": (7, 3, 15, 4),        # K shorter than the halo of 21
-    "chunk1": (5, 1, 30, 1),              # one tick per chunk
-    "chunk_over_K": (5, 2, 40, 64),       # one chunk holds all of K
-    "K_multiple_of_chunk": (3, 2, 96, 32),  # K an exact multiple of chunk
+_STREAM_CASES = {  # kernel, depth, K, chunk, sensor height and width
+    "ragged": (5, 2, 200, 37, 8, 8),            # ragged last chunk
+    "kernel1": (1, 2, 50, 7, 8, 8),             # kernel 1: no halo
+    "K_under_halo": (7, 3, 15, 4, 8, 8),        # K shorter than the halo of 21
+    "chunk1": (5, 1, 30, 1, 8, 8),              # one tick per chunk
+    "chunk_over_K": (5, 2, 40, 64, 8, 8),       # one chunk holds all of K
+    "K_multiple_of_chunk": (3, 2, 96, 32, 8, 8),  # K an exact multiple of chunk
+    "block_splits_rows": (3, 1, 20, 8, 2, 600),  # 512-pixel blocks split a row
 }
 
 
-@pytest.mark.parametrize("kernel,depth,k,chunk,tile", [
+@pytest.mark.parametrize("kernel,depth,k,chunk,h,w,tile", [
     pytest.param(*case, tile, id=name + (f"-tile{tile}" if tile else ""))
     for tile in (None, _SMALL_TILE) for name, case in _STREAM_CASES.items()
 ])
 def test_streaming_matches_batch_forward(monkeypatch, rng, kernel, depth, k,
-                                         chunk, tile):
+                                         chunk, h, w, tile):
     _set_tile(monkeypatch, tile)
     cfg = SpikeNetConfig(channels=8, kernel=kernel, depth=depth)
     params = noisy_params(cfg, 9, dtype=np.float32)
-    data = rng.normal(0, 0.8, size=(k, 8, 8)).astype(np.float32)
-    seq = LogDiffSeq(8, 8, 1000.0, data)
+    data = rng.normal(0, 0.8, size=(k, h, w)).astype(np.float32)
+    seq = LogDiffSeq(w, h, 1000.0, data)
     stream = infer_stream(seq, params, cfg, chunk=chunk)
     full, _ = forward(seq.pixel_sequences(), params, cfg, mode="hard")
-    want = full.reshape(8, 8, k).transpose(2, 0, 1)
+    want = full.reshape(h, w, k).transpose(2, 0, 1)
     assert np.array_equal(stream.data, want)
     assert np.abs(stream.data).sum() > 0  # the comparison is not vacuous
 
