@@ -50,16 +50,14 @@ def us_to_tick(t, fps: float) -> np.ndarray:
     return np.floor(np.asarray(t, dtype=np.float64) * fps / US_PER_S + 0.5).astype(np.int64)
 
 
-def time_bins(t, bin_fps: float, duration_us: int | None = None) -> tuple[np.ndarray, int]:
+def time_bins(t, bin_fps: float) -> tuple[np.ndarray, int]:
     """Each timestamp's bin floor(t * bin_fps / 1e6), and the bin count
-    ceil(duration * bin_fps / 1e6), the duration defaulting to last t + 1."""
+    ceil((last t + 1) * bin_fps / 1e6), which exceeds every bin; it is at
+    least 1, as a subnormal bin_fps underflows it to 0 with every bin 0."""
     check_fps(bin_fps, "bin_fps")
-    if duration_us is None:
-        duration_us = int(t.max()) + 1 if t.size else 1
-    n_bins = int(np.ceil(duration_us * bin_fps / US_PER_S))
+    duration_us = int(t.max()) + 1 if t.size else 1
+    n_bins = max(int(np.ceil(duration_us * bin_fps / US_PER_S)), 1)
     b = (t.astype(np.int64) * bin_fps // US_PER_S).astype(np.int64)
-    if b.size and b.max() >= n_bins:
-        raise RangeError("events fall outside the stated duration")
     return b, n_bins
 
 
@@ -211,10 +209,10 @@ def sparse_to_dense(e: EventList, fps: float, k: int) -> SpikeTrain:
     return SpikeTrain(e.width, e.height, fps, data)
 
 
-def voxelize(e: EventList, bin_fps: float, duration_us: int | None = None) -> VoxelGrid:
+def voxelize(e: EventList, bin_fps: float) -> VoxelGrid:
     """Bin events at bin_fps under time_bins's rule and bin count."""
     r = e.records
-    b, n_bins = time_bins(r["t"], bin_fps, duration_us)
+    b, n_bins = time_bins(r["t"], bin_fps)
     signed = np.zeros((n_bins, e.height, e.width), dtype=np.int64)
     unsigned = np.zeros_like(signed)
     np.add.at(signed, (b, r["y"], r["x"]), r["p"].astype(np.int64))

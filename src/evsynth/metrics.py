@@ -1,4 +1,8 @@
-"""Quantitative comparison of event streams: distances, counts, histograms."""
+"""Quantitative comparison of event streams: distances, counts, histograms.
+
+The distance is loss.emd_polar's EMD summed exactly over the runs between
+each pixel's event ticks, so its work and memory follow the event count.
+"""
 
 from __future__ import annotations
 
@@ -6,9 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EventList, SpikeTrain, time_bins, us_to_tick
+from .core import EventList, SpikeTrain, dense_to_sparse, time_bins, us_to_tick
 from .errors import ConfigError, RangeError, ShapeError
-from .loss import emd_bidir
 
 
 @dataclass
@@ -20,39 +23,61 @@ class StreamDistanceReport:
     pixels: int
 
 
-def _ratio(num: float, den: float) -> float:
+def _ratio(num: int, den: int) -> float:
     if den == 0:
         return 1.0 if num == 0 else float("inf")
     return num / den
 
 
-def _report(a: np.ndarray, b: np.ndarray) -> StreamDistanceReport:
-    """Compare (2, pixels, K) counts of positive [0] and negative [1] events."""
-    per_pixel = emd_bidir(a[0], b[0]) + emd_bidir(a[1], b[1])  # as loss.emd_polar
-    return StreamDistanceReport(
-        float(per_pixel.mean()), _ratio(a.sum(), b.sum()),
-        _ratio(a[0].sum(), b[0].sum()), _ratio(a[1].sum(), b[1].sum()), a.shape[1])
+def _events(e: EventList, fps: float, width: int, height: int):
+    """_report's (cell, tick) of e's events on width x height pixels at fps."""
+    r = e.records
+    cell = (r["p"] < 0) * (width * height) + r["y"].astype(np.int64) * width + r["x"]
+    return cell, us_to_tick(r["t"], fps)
+
+
+def _report(a, b, k: int, pixels: int) -> StreamDistanceReport:
+    """Report on the (cell, tick) events a and b over k ticks, cell being
+    the pixel plus, for a negative event, pixels.
+
+    With F a cell's running sum of b - a counts and D its last value,
+    2k * emd_bidir = sum_t |F_t| + |D - F_(t-1)|, F_(-1) = 0: |D| for each
+    tick up to the first event's, then |F| + |D - F| from each event's tick
+    to the cell's next one, or to k (0 ticks for all but a tick's last).
+    """
+    cell, tick = (np.concatenate(x) for x in zip(a, b))
+    if 3 * cell.size * k >= 2**63:  # 3 * events * k bounds the total
+        raise RangeError(f"{cell.size} events over {k} ticks overflow int64; lower fps")
+    step = np.repeat(np.array([-1, 1]), [a[0].size, b[0].size])  # b - a
+    order = np.lexsort((tick, cell))
+    cell, tick, step = cell[order], tick[order], step[order]
+    first, last = np.diff(cell, prepend=-1) != 0, np.diff(cell, append=-1) != 0
+    of_cell = np.cumsum(first) - 1
+    csum = np.cumsum(step)
+    f = csum - (csum - step)[first][of_cell]
+    d = f[last]
+    span = np.where(last, k, np.roll(tick, -1)) - tick
+    total = int((np.abs(f) + np.abs(d[of_cell] - f)) @ span + np.abs(d) @ (tick[first] + 1))
+    (na, pa), (nb, pb) = ((c.size, int((c < pixels).sum())) for c, _ in (a, b))
+    return StreamDistanceReport(total / (2 * k * pixels) if pixels else float("nan"),
+                                _ratio(na, nb), _ratio(pa, pb), _ratio(na - pa, nb - pb),
+                                pixels)
 
 
 def stream_distance(a: SpikeTrain, b: SpikeTrain) -> StreamDistanceReport:
     if a.data.shape != b.data.shape:
         raise ShapeError(f"shapes {a.data.shape} != {b.data.shape}")
-    return _report(*(np.stack([s.pixel_sequences() == v for v in (1, -1)]).astype(np.float64)
-                     for s in (a, b)))
+    return _report(*(_events(dense_to_sparse(s), s.fps, s.width, s.height) for s in (a, b)),
+                   a.k, a.width * a.height)
 
 
 def event_distance(a: EventList, b: EventList, fps: float) -> StreamDistanceReport:
     """stream_distance of event lists counted per polarity on the ticks of fps,
     over the larger sensor and up to the last tick either list reaches."""
     w, h = max(a.width, b.width), max(a.height, b.height)
-    ticks = [us_to_tick(e.records["t"], fps) for e in (a, b)]
-    k = max((int(t.max()) + 1 for t in ticks if t.size), default=1)
-    counts = []
-    for r, t in zip((a.records, b.records), ticks):
-        cell = ((r["p"] < 0) * (h * w) + r["y"].astype(np.int64) * w + r["x"]) * k + t
-        n = np.bincount(cell, np.ones(cell.size), minlength=2 * h * w * k)
-        counts.append(n.reshape(2, h * w, k))
-    return _report(*counts)
+    ev_a, ev_b = (_events(e, fps, w, h) for e in (a, b))
+    k = max((int(t.max()) + 1 for _, t in (ev_a, ev_b) if t.size), default=1)
+    return _report(ev_a, ev_b, k, w * h)
 
 
 def intensity_histogram(e: EventList, bin_fps: float = 60.0,

@@ -167,6 +167,17 @@ def _unfold_tiles(xf: np.ndarray, off: int, k: int, cols: int):
     return tiles()
 
 
+def _tile_cols(xf: np.ndarray, a: int, n: int) -> np.ndarray:
+    """Columns a..a+n-1 of xf at full _TILE width: a view, or for a short
+    last tile a copy zero past n.  So every dw GEMM has one shape, as every
+    _correlate GEMM does, and its bits do not depend on the BLAS threads."""
+    if n == _TILE:
+        return xf[:, a:a + n]
+    tile = np.zeros((xf.shape[0], _TILE), xf.dtype)
+    tile[:, :n] = xf[:, a:a + n]
+    return tile
+
+
 def _correlate(xf: np.ndarray, p: int, w: np.ndarray, n_b: int, b=None,
                rf=None, relu: bool = False, on_tile=None) -> np.ndarray:
     """'Same' correlation of a _padded buffer (Ci, B*(T+2p)) with (Co, Ci, k).
@@ -180,7 +191,7 @@ def _correlate(xf: np.ndarray, p: int, w: np.ndarray, n_b: int, b=None,
     the batch or the window around it.  Window start p - pad + s gives the
     output at buffer column p + s; columns whose window runs into the next
     sequence land on pad columns and are zeroed after the last tile.
-    on_tile(a, u_valid), when given, sees each tile's filled unfold columns.
+    on_tile(a, n, u), when given, sees each tile's full-width unfold.
     """
     co, ci, k = w.shape
     width = xf.shape[1]
@@ -210,7 +221,7 @@ def _correlate(xf: np.ndarray, p: int, w: np.ndarray, n_b: int, b=None,
         if not full:
             yf[:, p + a:p + a + n] = y_tile
         if on_tile is not None:
-            on_tile(a, u[:, :n])
+            on_tile(a, n, u)
     y[:, :, :p] = 0
     y[:, :, y.shape[2] - p:] = 0
     return _interior(y, p)
@@ -251,8 +262,8 @@ def conv1d_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray, *,
         x_cols = xf[:, p:p + cols]  # x at each dx column
         dw_rows = np.zeros((k * co, ci), dtype)  # row (k-1-j, o)
 
-        def add_dw(a, u):
-            dw_rows[:] += u @ x_cols[:, a:a + u.shape[1]].T
+        def add_dw(a, n, u):
+            dw_rows[:] += u @ _tile_cols(x_cols, a, n).T
 
         dx = _correlate(gf, p, w.transpose(1, 0, 2)[:, :, ::-1], len(gy),
                         on_tile=add_dw)
@@ -261,7 +272,7 @@ def conv1d_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray, *,
         g_cols = gf[:, p:p + cols]
         dw_rows = np.zeros((co, k * ci), dtype)  # column (j, i)
         for a, n, u in _unfold_tiles(xf, p - pad, k, cols):
-            dw_rows += g_cols[:, a:a + n] @ u[:, :n].T
+            dw_rows += _tile_cols(g_cols, a, n) @ u.T
         dw, dx = dw_rows.reshape(co, k, ci).transpose(0, 2, 1), None
     return np.ascontiguousarray(dw), gy.sum(axis=(0, 2)), dx
 

@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+
+import evsynth
 
 settings.register_profile(
     "default",
@@ -31,3 +38,13 @@ def random_event_list(gen, width=16, height=12, n=200, t_max=100_000):
     same = (np.diff(rec["t"]) == 0) & (np.diff(rec["x"]) == 0) & (np.diff(rec["y"]) == 0)
     keep[1:][same] = False
     return EventList(width, height, rec[keep])
+
+
+def run_cli(blas_threads: int, *args):
+    """Run `python -m evsynth.cli *args` in a subprocess with
+    OPENBLAS_NUM_THREADS=blas_threads, and check that it exits 0."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads),
+               PYTHONPATH=str(Path(evsynth.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "evsynth.cli", *map(str, args)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr

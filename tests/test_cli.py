@@ -218,6 +218,21 @@ def test_hist_of_a_sparse_long_clip(tmp_path):
     assert lines[1:3] == [f"0,{240001 * 640 * 480 - 2}", "1,2"]
 
 
+def test_eval_of_a_maximal_sensor_at_1_mhz(tmp_path):
+    # two events 2**32 - 1 us apart: counts over 2 x pixels x ticks would
+    # need an index past int64
+    ev = tmp_path / "long.evt1"
+    formats.write_evt1(core.EventList.from_arrays(
+        65535, 65535, t=[0, 2**32 - 1], x=[0, 65534], y=[0, 65534], p=[1, -1]), ev)
+    out = tmp_path / "r" / "eval.csv"
+    assert run("eval", str(ev), str(ev), "--out", str(out),
+               "--set", "eval.fps=1e6") == 0
+    assert sorted(p.name for p in out.parent.iterdir()) == ["eval.csv", "run.cfg"]
+    assert out.read_text().splitlines() == [
+        "metric,value", "emd,0", "count_ratio,1", "pos_ratio,1", "neg_ratio,1",
+        f"pixels,{65535 ** 2}"]
+
+
 def test_csv_output_path(tmp_path):
     fseq = _gen_moving(tmp_path)
     out = tmp_path / "ev.csv"
@@ -493,18 +508,23 @@ def fuzz_dir(tmp_path_factory):
     return d
 
 
-_FUZZ_ROUTES = {"fseq": ["simulate"], "evsn": ["infer", "{dir}/ok.fseq"],
-                "evt1": ["hist"]}
+# command -> (kind of the mutated file, the arguments before it)
+_FUZZ_ROUTES = {"simulate": ("fseq", ["simulate"]),
+                "infer": ("evsn", ["infer", "{dir}/ok.fseq"]),
+                "hist": ("evt1", ["hist"]),
+                "eval": ("evt1", ["eval", "{dir}/ok.evt1"])}
 
 
 @settings(max_examples=300)
-@given(kind=st.sampled_from(sorted(_FUZZ_ROUTES)),
+@given(command=st.sampled_from(sorted(_FUZZ_ROUTES)),
        mutation=st.one_of(  # 1-3 (position, xor mask) edits, or a length
            st.lists(st.tuples(st.integers(0, 4095), st.integers(1, 255)),
                     min_size=1, max_size=3),
            st.integers(0, 4095)))
-@example(kind="evt1", mutation=[(7, 0xFF), (9, 0xFF)])  # 65288x65288 sensor
-def test_mutated_input_file_exits_0_or_2(fuzz_dir, kind, mutation):
+@example(command="hist", mutation=[(7, 0xFF), (9, 0xFF)])  # 65288x65288 sensor
+@example(command="eval", mutation=[(7, 0xFF), (9, 0xFF)])
+def test_mutated_input_file_exits_0_or_2(fuzz_dir, command, mutation):
+    kind, args = _FUZZ_ROUTES[command]
     data = bytearray((fuzz_dir / f"ok.{kind}").read_bytes())
     if isinstance(mutation, int):
         data = data[:mutation % len(data)]
@@ -513,7 +533,7 @@ def test_mutated_input_file_exits_0_or_2(fuzz_dir, kind, mutation):
             data[pos % len(data)] ^= mask
     bad = fuzz_dir / f"bad.{kind}"
     bad.write_bytes(bytes(data))
-    argv = [a.format(dir=fuzz_dir) for a in _FUZZ_ROUTES[kind]]
+    argv = [a.format(dir=fuzz_dir) for a in args]
     err = io.StringIO()
     with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as warned:
         warnings.simplefilter("always")

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from evsynth.core import (EventList, SpikeTrain, dense_to_sparse,
-                          sparse_to_dense, tick_to_us, us_to_tick, voxelize)
+                          sparse_to_dense, tick_to_us, time_bins, us_to_tick,
+                          voxelize)
 from evsynth.errors import CollisionError, ConfigError, RangeError
 
 from conftest import random_event_list
@@ -104,11 +105,12 @@ def test_voxelize_conserves_counts(rng):
         assert abs(grid.signed).max() <= grid.unsigned.max()
 
 
-def test_voxelize_explicit_duration():
-    ev = EventList.from_arrays(1, 1, t=[0], x=[0], y=[0], p=[1])
-    grid = voxelize(ev, 60.0, duration_us=1_000_000)
-    assert grid.n_bins == 60
-    assert grid.unsigned.sum() == 1
+@given(t=st.integers(0, 2**32 - 1),
+       bin_fps=st.floats(5e-324, 1e6, allow_nan=False, allow_infinity=False))
+@example(t=0, bin_fps=5e-324)  # the count's product underflows to 0
+def test_time_bins_count_exceeds_every_bin(t, bin_fps):
+    b, n_bins = time_bins(np.array([0, t], np.uint32), bin_fps)
+    assert 0 <= b[0] <= b[1] < n_bins
 
 
 def test_us_to_tick_rounds_ties_to_the_later_tick():

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from evsynth.core import EventList, SpikeTrain, dense_to_sparse
+from evsynth import metrics
+from evsynth.core import EventList, SpikeTrain, dense_to_sparse, us_to_tick
 from evsynth.errors import RangeError, ShapeError
 from evsynth.loss import emd_polar
 from evsynth.metrics import event_distance, intensity_histogram, stream_distance
@@ -121,6 +124,56 @@ def test_event_distance_counts_several_events_per_tick():
     b = EventList.from_arrays(1, 1, t=[1000, 2000], x=[0, 0], y=[0, 0], p=[1, -1])
     rep = event_distance(a, b, 500.0)
     assert rep.pos_ratio == 2.0 and rep.neg_ratio == 0.0
+
+
+@pytest.mark.parametrize("fps", [97.0, 500.0, 1000.0])
+def test_event_distance_is_the_integer_sum_over_dense_counts(rng, fps):
+    # S = sum over polarity, pixel and tick t of |F_t| + |D - F_(t-1)|, F the
+    # running sum of b - a counts and D its last value; emd = S / (2 K pixels)
+    for _ in range(20):
+        a, b = (random_event_list(rng, width=4, height=3, n=80, t_max=30_000)
+                for _ in range(2))
+        ticks = [us_to_tick(e.records["t"], fps) for e in (a, b)]
+        k = max(int(t.max()) + 1 for t in ticks)
+        counts = []
+        for e, t in zip((a, b), ticks):
+            r = e.records
+            n = np.zeros((2, 3, 4, k), np.int64)
+            np.add.at(n, ((r["p"] < 0).astype(int), r["y"], r["x"], t), 1)
+            counts.append(n)
+        f = np.cumsum(counts[1] - counts[0], axis=-1)
+        f_before = np.concatenate([np.zeros_like(f[..., :1]), f[..., :-1]], axis=-1)
+        s = int(np.abs(f).sum() + np.abs(f[..., -1:] - f_before).sum())
+        assert event_distance(a, b, fps).emd == s / (2 * k * 12)
+
+
+def test_event_distance_memory_follows_the_events():
+    # 2**26 us at 1 kHz is 67110 ticks, which counts over 2 x 64 pixels x
+    # ticks would take 69 MB a stream to hold
+    a = EventList.from_arrays(8, 8, t=[0], x=[3], y=[5], p=[1])
+    b = EventList.from_arrays(8, 8, t=[2**26], x=[3], y=[5], p=[1])
+    tracemalloc.start()
+    try:
+        rep = event_distance(a, b, 1000.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    # F is -1 for the 67109 ticks before b's event, then 0
+    assert rep.emd == 2 * 67109 / (2 * 67110 * 64)
+
+
+def test_event_distance_over_no_pixels_is_nan():
+    from evsynth.core import EVENT_DTYPE
+    empty = EventList(0, 0, np.empty(0, EVENT_DTYPE))
+    rep = event_distance(empty, empty, 1000.0)
+    assert np.isnan(rep.emd) and (rep.count_ratio, rep.pixels) == (1.0, 0)
+
+
+def test_distance_past_int64_is_range_error():
+    one = (np.zeros(1, np.int64), np.zeros(1, np.int64))
+    with pytest.raises(RangeError):
+        metrics._report(one, one, 2**62, 1)
 
 
 def test_histogram_bucket_0_past_int64_is_range_error():

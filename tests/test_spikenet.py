@@ -1,14 +1,9 @@
-import os
 import struct
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import evsynth
 from evsynth import cli
 from evsynth.core import LogDiffSeq
 from evsynth.errors import FormatError, ShapeError
@@ -17,6 +12,8 @@ from evsynth.spikenet import (BlockParams, SpikeNetConfig, SpikeNetParams,
                               backward, conv1d, conv1d_backward, forward,
                               infer_stream, init_params, load_checkpoint,
                               receptive_field, save_checkpoint)
+
+from conftest import run_cli
 
 
 def small_cfg(**kw):
@@ -356,15 +353,9 @@ def test_infer_output_independent_of_blas_threads(tmp_path):
     cfg = SpikeNetConfig()
     save_checkpoint(ckpt, init_params(cfg, 0), cfg)
     outs = []
-    for threads in ("1", "2"):
+    for threads in (1, 2):
         out = tmp_path / f"t{threads}.evt1"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=str(Path(evsynth.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "evsynth.cli", "infer", str(clip), str(ckpt),
-             "--out", str(out)], capture_output=True, text=True, env=env,
-            timeout=300)
-        assert proc.returncode == 0, proc.stderr
+        run_cli(threads, "infer", clip, ckpt, "--out", out)
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
     assert len(read_evt1(tmp_path / "t1.evt1")) > 0

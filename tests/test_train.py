@@ -11,6 +11,8 @@ from evsynth.train import (AdamState, DatasetPair, TrainConfig,
                            adam_step, clip_global_norm, evaluate_holdout,
                            make_dataset, train, write_history_csv)
 
+from conftest import run_cli
+
 QUIET = RefSimConfig(theta=0.2, sigma_theta=0.0, init_mode="zero",
                      leak_rate=0.0, shot_rate=0.0)
 
@@ -228,3 +230,16 @@ def test_train_config_validation():
     for bad in (dict(lr=np.inf), dict(lr=np.nan), dict(seed=-1)):
         with pytest.raises(ConfigError):
             TrainConfig(**bad)
+
+
+def test_train_output_independent_of_blas_threads(tmp_path):
+    # 128-sequence batches: GEMMs big enough for BLAS to split, whose
+    # columns end in a short tile
+    outs = []
+    for threads in (1, 2):
+        out = tmp_path / f"t{threads}"
+        run_cli(threads, "train", "--out", out, "--epochs", "1",
+                "--set", "scene.width=16", "--set", "scene.height=16",
+                "--set", "scene.duration=0.1", "--set", "train.batch=128")
+        outs.append((out / "model.evsn").read_bytes())
+    assert outs[0] == outs[1]
