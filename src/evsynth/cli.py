@@ -153,8 +153,8 @@ def cmd_gen(args, cfg: RunConfig) -> None:
 
 
 def cmd_simulate(args, cfg: RunConfig) -> None:
-    frames = formats.read_fseq(args.input)
-    x = log_diff_sequence(frames, LuminanceConfig(**cfg.values["lum"]))
+    x = log_diff_sequence(formats.read_fseq(args.input),
+                          LuminanceConfig(**cfg.values["lum"]))
     train_out = refsim.simulate(x, RefSimConfig(**cfg.values["sim"]))
     _write_events(core.dense_to_sparse(train_out), args.out)
 
@@ -183,6 +183,7 @@ def cmd_infer(args, cfg: RunConfig) -> None:
     frames = formats.read_fseq(args.input)
     params, net_cfg = spikenet.load_checkpoint(args.checkpoint)
     x = log_diff_sequence(frames, LuminanceConfig(**cfg.values["lum"]))
+    del frames  # the clip is not needed while the network runs
     spikes = spikenet.infer_stream(x, params, net_cfg,
                                    v0_mode=cfg["net.v0_mode"],
                                    seed=cfg["sim.seed"])

@@ -72,6 +72,9 @@ class FrameSeq:
 
     def __post_init__(self):
         self.frames = np.asarray(self.frames, dtype=np.float32)
+        if not (self.width >= 1 and self.height >= 1):
+            raise ValueError(f"frame size {self.width}x{self.height} is empty; "
+                             "width and height must be >= 1")
         if self.frames.ndim != 4 or self.frames.shape[1:] != (self.height, self.width, 3):
             raise ValueError(f"frames shape {self.frames.shape} does not match "
                              f"(n, {self.height}, {self.width}, 3)")

@@ -32,13 +32,21 @@ _FSEQ_HEADER = struct.Struct("<4sHHHIfB")
 _CSV_HEADER = "t_us,x,y,p"
 
 
+def _write_container(path, header: bytes, body: np.ndarray) -> None:
+    """Write header, then body's bytes in C order, with no joined copy."""
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(np.ascontiguousarray(body))
+
+
 def write_evt1(e: EventList, path) -> None:
-    header = _EVT1_HEADER.pack(_EVT1_MAGIC, 1, e.width, e.height, len(e))
-    Path(path).write_bytes(header + e.records.tobytes())
+    _write_container(path, _EVT1_HEADER.pack(_EVT1_MAGIC, 1, e.width, e.height, len(e)),
+                     e.records)
 
 
-def _read_container(path, header: struct.Struct, magic: bytes) -> tuple[list, bytes]:
-    """A file's header fields after magic and version, and its unchecked body."""
+def _read_container(path, header: struct.Struct, magic: bytes) -> tuple[list, memoryview]:
+    """A file's header fields after magic and version, and its unchecked body,
+    a view of the file's bytes rather than a copy."""
     buf = Path(path).read_bytes()
     if len(buf) < header.size:
         raise FormatError(f"{path}: truncated header")
@@ -47,7 +55,7 @@ def _read_container(path, header: struct.Struct, magic: bytes) -> tuple[list, by
         raise FormatError(f"{path}: bad magic {found!r}")
     if version != 1:
         raise FormatError(f"{path}: unsupported version {version}")
-    return fields, buf[header.size:]
+    return fields, memoryview(buf)[header.size:]
 
 
 def read_evt1(path) -> EventList:
@@ -103,8 +111,7 @@ def _build_list(path, width, height, rec) -> EventList:
 def write_fseq(f: FrameSeq, path) -> None:
     header = _FSEQ_HEADER.pack(_FSEQ_MAGIC, 1, f.width, f.height,
                                f.n_frames, f.fps, 3)
-    data = np.ascontiguousarray(f.frames, dtype="<f4")
-    Path(path).write_bytes(header + data.tobytes())
+    _write_container(path, header, f.frames.astype("<f4", copy=False))
 
 
 def read_fseq(path) -> FrameSeq:

@@ -17,6 +17,7 @@ from .errors import ConfigError
 
 LUMA_R, LUMA_G, LUMA_B = 0.2126, 0.7152, 0.0722
 _COEFFS = np.array([LUMA_R, LUMA_G, LUMA_B], dtype=np.float64)
+_BLOCK = 2**16  # pixels per log_diff_sequence block (at least one frame)
 
 
 @dataclass
@@ -46,7 +47,20 @@ def lin_log(lum, cfg: LuminanceConfig = LuminanceConfig()):
 
 
 def log_diff_sequence(f: FrameSeq, cfg: LuminanceConfig = LuminanceConfig()) -> LogDiffSeq:
-    """Per pixel, X_k = linlog(luma(frame_k)) - linlog(luma(frame_{k-1}))."""
-    llog = lin_log(luma(f.frames), cfg)  # (n_frames, H, W) float64
-    diffs = np.diff(llog, axis=0).astype(np.float32)
+    """Per pixel, X_k = linlog(luma(frame_k)) - linlog(luma(frame_{k-1})).
+
+    The lin-log frames are float64 and each difference is rounded to float32
+    once.  They are made in blocks of whole frames, _BLOCK pixels or one
+    frame, and only one block's are kept, plus the frame before it.
+    """
+    n, h, w, _ = f.frames.shape
+    step = max(1, _BLOCK // (h * w))
+    diffs = np.empty((n - 1, h, w), np.float32)
+    llog = np.empty((step + 1, h, w))  # llog[0]: the frame before the block
+    llog[0] = lin_log(luma(f.frames[0]), cfg)
+    for a in range(1, n, step):
+        m = min(step, n - a)
+        llog[1:m + 1] = lin_log(luma(f.frames[a:a + m]), cfg)
+        np.subtract(llog[1:m + 1], llog[:m], out=diffs[a - 1:a - 1 + m])
+        llog[0] = llog[m]
     return LogDiffSeq(f.width, f.height, f.fps, diffs)

@@ -19,6 +19,7 @@ from .errors import ConfigError
 KINDS = ("moving_edge", "grating", "flashing_light", "mixed")
 
 _SALT_NOISE = 11
+_NOISE_BLOCK = 2**18  # noise values per add_render_noise block (at least one frame)
 _U16_MAX = 65535
 _F32_MAX = float(np.finfo(np.float32).max)
 
@@ -153,7 +154,7 @@ def gen_scene(spec: SceneSpec) -> FrameSeq:
         gray = _gray_frames(spec)
     if not np.isfinite(gray).all():
         raise ConfigError("scene motion overflows; lower velocity or spatial_freq")
-    frames = np.repeat(gray[..., None], 3, axis=-1).astype(np.float32)
+    frames = np.repeat(gray.astype(np.float32)[..., None], 3, axis=-1)
     return FrameSeq(spec.width, spec.height, spec.fps, frames)
 
 
@@ -161,14 +162,21 @@ def add_render_noise(f: FrameSeq, m: NoiseModel) -> FrameSeq:
     """Multiplicative Gaussian noise, std gain/sqrt(spp), clamped at zero.
 
     Each noise value is a pure function of (seed, frame, y, x, channel), so
-    frame- or row-partitioned generation is schedule independent.
+    frame- or row-partitioned generation is schedule independent.  It runs
+    in blocks of whole frames, _NOISE_BLOCK values or one frame, so its
+    temporaries stay one block's whatever the clip's length.
     """
     if m.gain == 0.0:
         return FrameSeq(f.width, f.height, f.fps, f.frames.copy())
     n, h, w, _ = f.frames.shape
-    z = rng.unit_normal(rng.hash_u64(m.seed, *np.ogrid[:n, :h, :w, :3], _SALT_NOISE))
-    with np.errstate(over="ignore", invalid="ignore"):
-        noisy = np.maximum(f.frames.astype(np.float64) * (1.0 + m.sigma * z), 0.0)
-    if not noisy.max() <= _F32_MAX:
-        raise ConfigError("render noise overflows float32 frames; lower the gain")
-    return FrameSeq(f.width, f.height, f.fps, noisy.astype(np.float32))
+    step = max(1, _NOISE_BLOCK // (h * w * 3))
+    out = np.empty_like(f.frames)
+    for a in range(0, n, step):
+        b = min(a + step, n)
+        z = rng.unit_normal(rng.hash_u64(m.seed, *np.ogrid[a:b, :h, :w, :3], _SALT_NOISE))
+        with np.errstate(over="ignore", invalid="ignore"):
+            noisy = np.maximum(f.frames[a:b].astype(np.float64) * (1.0 + m.sigma * z), 0.0)
+        if not noisy.max() <= _F32_MAX:
+            raise ConfigError("render noise overflows float32 frames; lower the gain")
+        out[a:b] = noisy
+    return FrameSeq(f.width, f.height, f.fps, out)

@@ -179,12 +179,15 @@ def _tile_cols(xf: np.ndarray, a: int, n: int) -> np.ndarray:
 
 
 def _correlate(xf: np.ndarray, p: int, w: np.ndarray, n_b: int, b=None,
-               rf=None, relu: bool = False, on_tile=None) -> np.ndarray:
+               rf=None, relu: bool = False, on_tile=None,
+               into_rf: bool = False) -> np.ndarray:
     """'Same' correlation of a _padded buffer (Ci, B*(T+2p)) with (Co, Ci, k).
 
-    Returns the (B, Co, T) interior view of a new buffer padded like xf.
-    Each tile's outputs get, in this order, the bias b, the residual rf (a
-    buffer laid out like the output) and the ReLU while they are in cache.
+    Returns the (B, Co, T) interior view of a new buffer padded like xf, or
+    with into_rf of rf's own buffer, which the result overwrites tile by
+    tile.  Each tile's outputs get, in this order, the bias b, the residual
+    rf (a buffer laid out like the output) and the ReLU while they are in
+    cache.
 
     Every GEMM has the one shape (Co, k*Ci) @ (k*Ci, _TILE), so BLAS picks
     the same kernel for every column and a column's value does not depend on
@@ -201,25 +204,33 @@ def _correlate(xf: np.ndarray, p: int, w: np.ndarray, n_b: int, b=None,
     # conv's unfold instead of being faulted in again, as glibc returns a
     # free top of the heap to the OS.  That halved a training step's faults.
     tiles = _unfold_tiles(xf, p - (k - 1) // 2, k, cols)
-    y = np.empty((co, n_b, width // n_b), np.result_type(xf, w))
+    if into_rf:
+        y = rf.reshape(co, n_b, -1)
+    else:  # 3-D, as _padded recognises a buffer by its base's shape
+        y = np.empty((co, n_b, width // n_b), np.result_type(xf, w))
     yf = y.reshape(co, width)
+    scratch = None
     for a, n, u in tiles:
-        # A short last tile runs into scratch, so every GEMM keeps its shape
-        # and y keeps the input's width: rounded up to whole tiles, its row
-        # stride could be a power of two, and cache-set conflicts then
-        # slowed the passes over it about 2x.
-        full = n == _TILE
-        y_tile = yf[:, p + a:p + a + n] if full else np.empty((co, _TILE), y.dtype)
+        # A tile that is short, or whose outputs overwrite its residual, runs
+        # its GEMM into scratch, so every GEMM keeps its shape and y keeps
+        # the input's width: rounded up to whole tiles, its row stride could
+        # be a power of two, and cache-set conflicts then slowed the passes
+        # over it about 2x.
+        out = yf[:, p + a:p + a + n]
+        direct = n == _TILE and not into_rf
+        if not direct and scratch is None:
+            scratch = np.empty((co, _TILE), y.dtype)
+        y_tile = out if direct else scratch
         np.matmul(w2, u, out=y_tile)
         y_tile = y_tile[:, :n]
         if b is not None:
             y_tile += b[:, None]
         if rf is not None:
-            y_tile += rf[:, p + a:p + a + n]
+            np.add(y_tile, rf[:, p + a:p + a + n], out=out)
+        elif not direct:
+            out[:] = y_tile
         if relu:
-            np.maximum(y_tile, 0, out=y_tile)
-        if not full:
-            yf[:, p + a:p + a + n] = y_tile
+            np.maximum(out, 0, out=out)
         if on_tile is not None:
             on_tile(a, n, u)
     y[:, :, :p] = 0
@@ -228,16 +239,18 @@ def _correlate(xf: np.ndarray, p: int, w: np.ndarray, n_b: int, b=None,
 
 
 def conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray, *, residual=None,
-           relu: bool = False) -> np.ndarray:
+           relu: bool = False, inplace: bool = False) -> np.ndarray:
     """Cross-correlate (B, Ci, T) with (Co, Ci, k) under 'same' zero padding,
     add b, then residual (B, Co, T) if given, then take the ReLU if relu.
 
     The result is the interior view of a zero-padded channel-major buffer,
-    which a following conv1d or conv1d_backward reads without a copy.
+    which a following conv1d or conv1d_backward reads without a copy.  With
+    inplace that buffer is residual's (or its padded copy's), whose values
+    the result replaces.
     """
     xf, p = _padded(x, (w.shape[2] - 1) // 2)
     rf = None if residual is None else _padded(residual, p, exact=True)[0]
-    return _correlate(xf, p, w, len(x), b, rf, relu)
+    return _correlate(xf, p, w, len(x), b, rf, relu, into_rf=inplace)
 
 
 def conv1d_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray, *,
@@ -306,18 +319,20 @@ def _conv_stack(x2d: np.ndarray, p: SpikeNetParams,
     """Logits (B, T) of the conv stack on input (B, T), 'same' padding.
 
     With acts, a dict with lists "hs" and "rs", the activations backward()
-    needs are appended to it.  Without it only h, r and the current conv
-    output stay alive.
+    needs are appended to it.  Without it each residual sum overwrites h's
+    buffer, so only h and r are alive, and r is gone before the next block
+    makes its own.
     """
     h = conv1d(x2d[:, None, :], p.w_in, p.b_in, relu=True)
     if acts is not None:
         acts["hs"].append(h)
     for blk in p.blocks:
         r = conv1d(h, blk.w1, blk.b1, relu=True)
-        h = conv1d(r, blk.w2, blk.b2, residual=h, relu=True)
+        h = conv1d(r, blk.w2, blk.b2, residual=h, relu=True, inplace=acts is None)
         if acts is not None:
             acts["rs"].append(r)
             acts["hs"].append(h)
+        del r
     return conv1d(h, p.w_head, p.b_head)[:, 0, :]
 
 

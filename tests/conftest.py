@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -48,3 +49,19 @@ def run_cli(blas_threads: int, *args):
     proc = subprocess.run([sys.executable, "-m", "evsynth.cli", *map(str, args)],
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def traced_peak(fn, *args):
+    """(fn(*args), the peak bytes allocated during the call beyond what was
+    allocated before it), from tracemalloc, which sees numpy's array buffers."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()

@@ -493,6 +493,21 @@ def test_fseq_fps_above_1e6_exits_2(tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("evsynth: ")
 
 
+@pytest.mark.parametrize("width,height", [(0, 4), (4, 0)])
+@pytest.mark.parametrize("command", ["simulate", "infer"])
+def test_fseq_of_zero_width_or_height_exits_2(tmp_path, capsys, command,
+                                               width, height):
+    clip = tmp_path / "empty.fseq"
+    clip.write_bytes(struct.pack("<4sHHHIfB", b"FSEQ", 1, width, height, 2, 1000.0, 3))
+    cfg = SpikeNetConfig(channels=2, kernel=3, depth=1)
+    spikenet.save_checkpoint(tmp_path / "m.evsn", init_params(cfg, 1), cfg)
+    args = [command, str(clip)] + ([str(tmp_path / "m.evsn")] if command == "infer" else [])
+    assert main([*args, "--out", str(tmp_path / "ev.evt1")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("evsynth: "), lines
+    assert f"frame size {width}x{height} is empty" in lines[0]
+
+
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     """Valid 8x8 FSEQ, EVSN and EVT1 files for the reader fuzzer."""

@@ -5,8 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from evsynth import luminance
 from evsynth.core import FrameSeq
 from evsynth.luminance import LuminanceConfig, lin_log, log_diff_sequence, luma
+from evsynth.scenegen import SceneSpec, gen_scene
+
+from conftest import traced_peak
 
 
 def test_luma_coefficients():
@@ -93,3 +97,24 @@ def test_rho_out_of_range_rejected():
         LuminanceConfig(0.0)
     with pytest.raises(ValueError):
         LuminanceConfig(1.5)
+
+
+# 8 frames of 2x3 pixels: blocks of 3, 3 and 1 frames after the first, and a
+# block smaller than one frame, which then steps by 1 frame
+@pytest.mark.parametrize("block", [18, 4, None], ids=["3-frames", "sub-frame", "default"])
+def test_blocked_log_diff_equals_the_whole_clip_diff(monkeypatch, rng, block):
+    if block is not None:
+        monkeypatch.setattr(luminance, "_BLOCK", block)
+    frames = rng.uniform(0.0, 0.06, size=(8, 2, 3, 3))  # both sides of the knee
+    frames[2, 0] = 0.0
+    f = FrameSeq(3, 2, 1000.0, frames)
+    cfg = LuminanceConfig(0.02)
+    want = np.diff(lin_log(luma(f.frames), cfg), axis=0).astype(np.float32)
+    assert np.array_equal(log_diff_sequence(f, cfg).data, want)
+
+
+def test_log_diff_peak_is_its_output_plus_one_block():
+    # a block's float64 RGB copy, luma and lin-log temporaries
+    f = gen_scene(SceneSpec("mixed", 64, 64, 1000.0, 0.251, seed=2))
+    x, peak = traced_peak(log_diff_sequence, f)
+    assert peak < x.data.nbytes + 8 * 8 * luminance._BLOCK

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
+from evsynth import rng, scenegen
+from evsynth.core import FrameSeq
 from evsynth.errors import ConfigError
 from evsynth.scenegen import (NoiseModel, SceneSpec, add_render_noise,
                               bar_edges, gen_scene)
+
+from conftest import traced_peak
 
 
 def spec(kind="moving_edge", **kw):
@@ -112,3 +116,53 @@ def test_noise_deterministic_per_coordinate():
     sub = type(f)(f.width, f.height, f.fps, f.frames[:3])
     c = add_render_noise(sub, m)
     assert np.array_equal(c.frames, a.frames[:3])
+
+
+def _noise_oracle(f, m):
+    """The whole-clip formula add_render_noise computes in frame blocks."""
+    n, h, w, _ = f.frames.shape
+    z = rng.unit_normal(rng.hash_u64(m.seed, *np.ogrid[:n, :h, :w, :3],
+                                     scenegen._SALT_NOISE))
+    return np.maximum(f.frames.astype(np.float64) * (1.0 + m.sigma * z), 0.0)
+
+
+# 7 frames of 2x3 pixels, 18 noise values each: blocks of 3, 3 and 1 frames,
+# and a block smaller than one frame, which then steps by 1 frame
+@pytest.mark.parametrize("block", [54, 10, None], ids=["3-frames", "sub-frame", "default"])
+def test_blocked_render_noise_equals_the_whole_clip_formula(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(scenegen, "_NOISE_BLOCK", block)
+    gen = np.random.default_rng(4)
+    f = FrameSeq(3, 2, 100.0, gen.uniform(0, 1, (7, 2, 3, 3)))
+    m = NoiseModel(spp=4, gain=0.8, seed=6)
+    want = _noise_oracle(f, m).astype(np.float32)
+    assert np.array_equal(add_render_noise(f, m).frames, want)
+
+
+@pytest.mark.parametrize("block", [54, 10], ids=["3-frames", "sub-frame"])
+def test_render_noise_overflow_in_the_last_block_raises(monkeypatch, block):
+    monkeypatch.setattr(scenegen, "_NOISE_BLOCK", block)
+    frames = np.ones((7, 2, 3, 3), np.float32)
+    frames[-1] = 3e38
+    f, m = FrameSeq(3, 2, 100.0, frames), NoiseModel(spp=1, gain=2.0, seed=1)
+    noisy = _noise_oracle(f, m)
+    assert noisy[:-1].max() <= np.finfo(np.float32).max < noisy[-1].max()
+    with pytest.raises(ConfigError, match="^render noise overflows float32 frames"):
+        add_render_noise(f, m)
+
+
+# Peak bounds on mixed 64x64x251: each stage holds its output and one block.
+_CLIP = SceneSpec("mixed", 64, 64, 1000.0, 0.251, seed=2)
+
+
+def test_gen_scene_peak_is_bounded_by_its_output():
+    # the float64 gray frames (2/3 of the output) and the output itself
+    f, peak = traced_peak(gen_scene, _CLIP)
+    assert peak < 2.5 * f.frames.nbytes
+
+
+def test_render_noise_peak_is_its_output_plus_one_block():
+    # float64 temporaries of one block, a handful of 8-byte values each
+    f = gen_scene(_CLIP)
+    out, peak = traced_peak(add_render_noise, f, NoiseModel(seed=3))
+    assert peak < out.frames.nbytes + 12 * 8 * scenegen._NOISE_BLOCK

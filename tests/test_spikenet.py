@@ -8,12 +8,14 @@ from evsynth import cli
 from evsynth.core import LogDiffSeq
 from evsynth.errors import FormatError, ShapeError
 from evsynth.formats import read_evt1
-from evsynth.spikenet import (BlockParams, SpikeNetConfig, SpikeNetParams,
-                              backward, conv1d, conv1d_backward, forward,
-                              infer_stream, init_params, load_checkpoint,
+from evsynth.luminance import log_diff_sequence
+from evsynth.scenegen import SceneSpec, gen_scene
+from evsynth.spikenet import (_BLOCK, BlockParams, SpikeNetConfig, SpikeNetParams,
+                              _conv_stack, backward, conv1d, conv1d_backward,
+                              forward, infer_stream, init_params, load_checkpoint,
                               receptive_field, save_checkpoint)
 
-from conftest import run_cli
+from conftest import run_cli, traced_peak
 
 
 def small_cfg(**kw):
@@ -142,10 +144,15 @@ def test_fused_residual_relu_equals_separate_passes(monkeypatch, k, tile):
     x = gen.normal(size=(3, 4, 11)).astype(np.float32)
     w = gen.normal(size=(4, 4, k)).astype(np.float32)
     b = gen.normal(size=4).astype(np.float32)
-    # a fresh array, and a conv output read from its own padded buffer
-    for r in (gen.normal(size=(3, 4, 11)).astype(np.float32), conv1d(x, w, -b)):
-        want = np.maximum(conv1d(x, w, b) + r, 0)
-        assert np.array_equal(conv1d(x, w, b, residual=r, relu=True), want)
+    # a fresh array, and a conv output read from its own padded buffer, which
+    # inplace overwrites
+    for inplace in (False, True):
+        for r in (gen.normal(size=(3, 4, 11)).astype(np.float32), conv1d(x, w, -b)):
+            want = np.maximum(conv1d(x, w, b) + r, 0)
+            got = conv1d(x, w, b, residual=r, relu=True, inplace=inplace)
+            assert np.array_equal(got, want)
+            if inplace and r.base is not None:  # r is a padded buffer's view
+                assert got.base is r.base
 
 
 def test_receptive_field_formula():
@@ -342,6 +349,31 @@ def test_streaming_matches_batch_forward(monkeypatch, rng, kernel, depth, k,
     want = full.reshape(h, w, k).transpose(2, 0, 1)
     assert np.array_equal(stream.data, want)
     assert np.abs(stream.data).sum() > 0  # the comparison is not vacuous
+
+
+@pytest.mark.parametrize("tile", [None, _SMALL_TILE], ids=["default", "small"])
+@pytest.mark.parametrize("t_len", [1, 2, 40])
+@pytest.mark.parametrize("k", [1, 3, 7])
+def test_conv_stack_without_record_equals_the_recorded_logits(monkeypatch, k,
+                                                              t_len, tile):
+    # the no-record path sums each residual into h's own buffer
+    _set_tile(monkeypatch, tile)
+    cfg = SpikeNetConfig(channels=8, kernel=k, depth=2)
+    params = noisy_params(cfg, 4, dtype=np.float32)
+    x = np.random.default_rng(k).normal(0, 0.8, (6, t_len)).astype(np.float32)
+    _, cache = forward(x, params, cfg)
+    assert np.array_equal(_conv_stack(x, params), cache.logits)
+
+
+def test_infer_peak_is_two_padded_buffers_per_block():
+    # h and r of one _BLOCK-pixel block, plus the input's pixel-major copy,
+    # the output and the unfold, each about the input's size or less
+    cfg = SpikeNetConfig()
+    x = log_diff_sequence(gen_scene(SceneSpec("mixed", 64, 64, 1000.0, 0.251, seed=2)))
+    pad = (cfg.kernel - 1) // 2
+    buf = cfg.channels * _BLOCK * (x.k + 2 * pad) * 4
+    _, peak = traced_peak(infer_stream, x, init_params(cfg, 0), cfg)
+    assert peak < 2 * buf + 3 * x.data.nbytes
 
 
 def test_infer_output_independent_of_blas_threads(tmp_path):
