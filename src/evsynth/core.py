@@ -21,6 +21,7 @@ import numpy as np
 from .errors import CollisionError, ConfigError, RangeError
 
 US_PER_S = 1_000_000
+F32_MAX = float(np.finfo(np.float32).max)
 
 # matches the EVT1 record layout byte for byte (packed, little-endian)
 EVENT_DTYPE = np.dtype([("t", "<u4"), ("x", "<u2"), ("y", "<u2"), ("p", "i1")])
@@ -81,7 +82,8 @@ class FrameSeq:
         if self.frames.shape[0] < 2:
             raise ValueError("need at least 2 frames")
         check_fps(self.fps)
-        if not np.all(np.isfinite(self.frames)) or self.frames.min() < 0:
+        # min and max, unlike an isfinite mask, allocate nothing; NaN fails both
+        if not (self.frames.min() >= 0 and self.frames.max() <= F32_MAX):
             raise ValueError("frame values must be finite and non-negative")
 
     @property

@@ -17,6 +17,7 @@ header of magic and u16 version=1, then a body whose length the header fixes.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -44,26 +45,40 @@ def write_evt1(e: EventList, path) -> None:
                      e.records)
 
 
-def _read_container(path, header: struct.Struct, magic: bytes) -> tuple[list, memoryview]:
-    """A file's header fields after magic and version, and its unchecked body,
-    a view of the file's bytes rather than a copy."""
-    buf = Path(path).read_bytes()
-    if len(buf) < header.size:
-        raise FormatError(f"{path}: truncated header")
-    found, version, *fields = header.unpack_from(buf)
-    if found != magic:
-        raise FormatError(f"{path}: bad magic {found!r}")
-    if version != 1:
-        raise FormatError(f"{path}: unsupported version {version}")
-    return fields, memoryview(buf)[header.size:]
+def _read_container(path, header: struct.Struct, magic: bytes, body=None):
+    """A file's header fields after magic and version, and its body.
+
+    body(fields, size), given the fields and the body's size in bytes from
+    fstat, checks that size and returns an array the body is read into, so
+    the file's bytes are held once; without body the body is read as bytes.
+    """
+    with open(path, "rb") as fh:
+        head = fh.read(header.size)
+        if len(head) < header.size:
+            raise FormatError(f"{path}: truncated header")
+        found, version, *fields = header.unpack(head)
+        if found != magic:
+            raise FormatError(f"{path}: bad magic {found!r}")
+        if version != 1:
+            raise FormatError(f"{path}: unsupported version {version}")
+        if body is None:
+            return fields, fh.read()
+        size = os.fstat(fh.fileno()).st_size - header.size
+        arr = body(fields, size)
+        if fh.readinto(arr) != size:
+            raise FormatError(f"{path}: file shrank while being read")
+        return fields, arr
 
 
 def read_evt1(path) -> EventList:
-    (width, height, count), body = _read_container(path, _EVT1_HEADER, _EVT1_MAGIC)
-    if len(body) != count * EVENT_DTYPE.itemsize:
-        raise FormatError(f"{path}: expected {count} records, "
-                          f"got {len(body)} payload bytes")
-    rec = np.frombuffer(body, dtype=EVENT_DTYPE, count=count).copy()
+    def records(fields, size):
+        count = fields[2]
+        if size != count * EVENT_DTYPE.itemsize:
+            raise FormatError(f"{path}: expected {count} records, "
+                              f"got {size} payload bytes")
+        return np.empty(count, EVENT_DTYPE)
+
+    (width, height, _), rec = _read_container(path, _EVT1_HEADER, _EVT1_MAGIC, records)
     return _build_list(path, width, height, rec)
 
 
@@ -115,15 +130,20 @@ def write_fseq(f: FrameSeq, path) -> None:
 
 
 def read_fseq(path) -> FrameSeq:
-    (width, height, n_frames, fps, channels), body = _read_container(
-        path, _FSEQ_HEADER, _FSEQ_MAGIC)
-    if channels != 3:
-        raise FormatError(f"{path}: expected 3 channels, got {channels}")
-    expect = n_frames * height * width * 3 * 4
-    if len(body) != expect:
-        raise FormatError(f"{path}: expected {expect} payload bytes, got {len(body)}")
-    frames = np.frombuffer(body, dtype="<f4").reshape(n_frames, height, width, 3).copy()
+    def frames(fields, size):
+        width, height, n_frames, _, channels = fields
+        if channels != 3:
+            raise FormatError(f"{path}: expected 3 channels, got {channels}")
+        expect = n_frames * height * width * 3 * 4
+        if size != expect:
+            raise FormatError(f"{path}: expected {expect} payload bytes, got {size}")
+        # an array, not a view of the bytes: the 19-byte header would
+        # leave a view unaligned
+        return np.empty((n_frames, height, width, 3), "<f4")
+
+    (width, height, _, fps, _), arr = _read_container(path, _FSEQ_HEADER,
+                                                      _FSEQ_MAGIC, frames)
     try:
-        return FrameSeq(width, height, fps, frames)
+        return FrameSeq(width, height, fps, arr)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from None

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import rng
-from .core import FrameSeq, check_fps
+from .core import F32_MAX, FrameSeq, check_fps
 from .errors import ConfigError
 
 KINDS = ("moving_edge", "grating", "flashing_light", "mixed")
@@ -21,7 +21,6 @@ KINDS = ("moving_edge", "grating", "flashing_light", "mixed")
 _SALT_NOISE = 11
 _NOISE_BLOCK = 2**18  # noise values per add_render_noise block (at least one frame)
 _U16_MAX = 65535
-_F32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass(frozen=True)
@@ -176,7 +175,7 @@ def add_render_noise(f: FrameSeq, m: NoiseModel) -> FrameSeq:
         z = rng.unit_normal(rng.hash_u64(m.seed, *np.ogrid[a:b, :h, :w, :3], _SALT_NOISE))
         with np.errstate(over="ignore", invalid="ignore"):
             noisy = np.maximum(f.frames[a:b].astype(np.float64) * (1.0 + m.sigma * z), 0.0)
-        if not noisy.max() <= _F32_MAX:
+        if not noisy.max() <= F32_MAX:
             raise ConfigError("render noise overflows float32 frames; lower the gain")
         out[a:b] = noisy
     return FrameSeq(f.width, f.height, f.fps, out)

@@ -15,22 +15,26 @@ recursion is unrolled with the reset treated as constant (straight-through).
 
 from __future__ import annotations
 
+import functools
 import struct
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import formats, rng
-from .core import LogDiffSeq, SpikeTrain
+from .core import F32_MAX, LogDiffSeq, SpikeTrain
 from .errors import ConfigError, FormatError, ShapeError
 from .spiking import (LifParams, SurrogateConfig, bilif_fold, soft_bilif,
                       surrogate_grad)
 
 _SALT_V0 = 31
-_F32_MAX = float(np.finfo(np.float32).max)
 _TILE = 4096  # output columns per conv GEMM
-_BLOCK = 512  # pixels per infer_stream block
+_BLOCK = 128  # pixels per infer_stream block
+# OpenBLAS's thread-count functions, by the names its builds export
+_OPENBLAS_NAMES = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                   "openblas_{}_num_threads")
 
 
 @dataclass(frozen=True)
@@ -48,7 +52,7 @@ class SpikeNetConfig:
                 and self.kernel <= 2**24):
             raise ConfigError("channels, kernel and depth must lie in "
                               "[1, 2**24] (EVSN stores them as float32)")
-        if not max(self.lif.tau, self.lif.v_th, self.surrogate.alpha) <= _F32_MAX:
+        if not max(self.lif.tau, self.lif.v_th, self.surrogate.alpha) <= F32_MAX:
             raise ConfigError("tau, v_th and alpha must fit EVSN's float32")
 
 
@@ -434,6 +438,27 @@ def _infer_rows(xpix: np.ndarray, p: SpikeNetParams, cfg: SpikeNetConfig,
         out[:, a:b] = spikes
 
 
+@functools.cache
+def _openblas():
+    """(get, set) of OpenBLAS's thread count, found once in numpy's own
+    extension module (dlsym also searches its dependencies), or None."""
+    import ctypes
+    try:
+        from numpy._core import _multiarray_umath
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+    except (ImportError, OSError):
+        return None
+    for name in _OPENBLAS_NAMES:
+        try:
+            get, set_ = getattr(lib, name.format("get")), getattr(lib, name.format("set"))
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
 def infer_stream(x: LogDiffSeq, p: SpikeNetParams, cfg: SpikeNetConfig,
                  v0_mode: str = "zero", seed: int = 0,
                  chunk: int = 256) -> SpikeTrain:
@@ -441,9 +466,18 @@ def infer_stream(x: LogDiffSeq, p: SpikeNetParams, cfg: SpikeNetConfig,
 
     Output is bit-identical to running forward() on each pixel's full
     sequence, whichever y-major block of _BLOCK pixels it runs in (a block
-    may split a row); memory per pixel stays O(chunk + receptive field).
-    BLAS threads parallelize the GEMMs; the membrane carries across chunks.
+    may split a row) and whichever thread runs it; memory per pixel stays
+    O(chunk + receptive field).  The membrane carries across chunks.
+
+    The blocks run on T threads, the caller and T - 1 helpers, each taking
+    the next block until none is left.  T is OpenBLAS's thread count, capped
+    so that each thread gets at least two blocks: on smaller clips a helper
+    measured slower and larger than the caller alone.  While the blocks
+    run, BLAS is set to one thread, one per block, and its count is
+    restored afterwards.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     if v0_mode not in ("zero", "uniform"):
         raise ConfigError("v0_mode must be 'zero' or 'uniform'")
     if not 0 <= seed < 2**64:
@@ -457,9 +491,37 @@ def infer_stream(x: LogDiffSeq, p: SpikeNetParams, cfg: SpikeNetConfig,
         v0 = (2.0 * u - 1.0) * cfg.lif.v_th
 
     out = np.empty((h * w, k), dtype=np.int8)
-    for a in range(0, h * w, _BLOCK):
-        b = a + _BLOCK
-        _infer_rows(pix[a:b], p, cfg, v0[a:b], chunk, out[a:b])
+    starts = range(0, h * w, _BLOCK)
+    blocks = iter(starts)  # shared by the threads, each block taken once
+    taking, failed = threading.Lock(), threading.Event()
+
+    def run_blocks():
+        try:
+            while not failed.is_set():
+                with taking:
+                    a = next(blocks, None)
+                if a is None:
+                    return
+                b = a + _BLOCK
+                _infer_rows(pix[a:b], p, cfg, v0[a:b], chunk, out[a:b])
+        except BaseException:
+            failed.set()
+            raise
+
+    blas = _openblas()
+    blas_threads = blas[0]() if blas else 1
+    n_threads = max(1, min(blas_threads, len(starts) // 2))
+    try:
+        if n_threads > 1:
+            blas[1](1)
+        with ThreadPoolExecutor(max(1, n_threads - 1)) as pool:
+            helpers = [pool.submit(run_blocks) for _ in range(n_threads - 1)]
+            run_blocks()
+        for f in helpers:
+            f.result()
+    finally:
+        if n_threads > 1:
+            blas[1](blas_threads)
     return SpikeTrain(x.width, x.height, x.fps, out.reshape(h, w, k).transpose(2, 0, 1))
 
 

@@ -559,3 +559,15 @@ def test_mutated_input_file_exits_0_or_2(fuzz_dir, command, mutation):
         assert len(lines) == 1 and lines[0].startswith("evsynth: "), lines
     else:
         assert lines == []
+
+
+def test_cli_import_adds_neither_ctypes_nor_thread_pools():
+    # infer imports them when it runs, so no command's start-up pays for
+    # them; numpy may load ctypes itself, so only evsynth's own imports count
+    code = ("import sys, numpy; pre = set(sys.modules); import evsynth.cli; "
+            "print(sorted({'ctypes', 'concurrent.futures'} & (set(sys.modules) - pre)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(evsynth.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

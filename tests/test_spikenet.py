@@ -1,19 +1,21 @@
 import struct
+import sys
+import threading
 import time
 
 import numpy as np
 import pytest
 
-from evsynth import cli
+from evsynth import cli, spikenet
 from evsynth.core import LogDiffSeq
 from evsynth.errors import FormatError, ShapeError
 from evsynth.formats import read_evt1
 from evsynth.luminance import log_diff_sequence
 from evsynth.scenegen import SceneSpec, gen_scene
-from evsynth.spikenet import (_BLOCK, BlockParams, SpikeNetConfig, SpikeNetParams,
-                              _conv_stack, backward, conv1d, conv1d_backward,
-                              forward, infer_stream, init_params, load_checkpoint,
-                              receptive_field, save_checkpoint)
+from evsynth.spikenet import (_BLOCK, _TILE, BlockParams, SpikeNetConfig,
+                              SpikeNetParams, _conv_stack, backward, conv1d,
+                              conv1d_backward, forward, infer_stream, init_params,
+                              load_checkpoint, receptive_field, save_checkpoint)
 
 from conftest import run_cli, traced_peak
 
@@ -329,7 +331,7 @@ _STREAM_CASES = {  # kernel, depth, K, chunk, sensor height and width
     "chunk1": (5, 1, 30, 1, 8, 8),              # one tick per chunk
     "chunk_over_K": (5, 2, 40, 64, 8, 8),       # one chunk holds all of K
     "K_multiple_of_chunk": (3, 2, 96, 32, 8, 8),  # K an exact multiple of chunk
-    "block_splits_rows": (3, 1, 20, 8, 2, 600),  # 512-pixel blocks split a row
+    "block_splits_rows": (3, 1, 20, 8, 2, 600),  # _BLOCK-pixel blocks split a row
 }
 
 
@@ -365,15 +367,129 @@ def test_conv_stack_without_record_equals_the_recorded_logits(monkeypatch, k,
     assert np.array_equal(_conv_stack(x, params), cache.logits)
 
 
-def test_infer_peak_is_two_padded_buffers_per_block():
-    # h and r of one _BLOCK-pixel block, plus the input's pixel-major copy,
-    # the output and the unfold, each about the input's size or less
+class FakeBlas:
+    """Stands in for OpenBLAS's (get, set) thread count, starting at n."""
+
+    def __init__(self, n):
+        self.n, self.calls = n, []
+
+    def get(self):
+        return self.n
+
+    def set(self, n):
+        self.calls.append(n)
+        self.n = n
+
+
+def test_infer_peak_is_two_padded_buffers_per_block(monkeypatch):
+    # per thread, h and r of one _BLOCK-pixel block and one unfold; besides,
+    # the input's pixel-major copy and the output, each the input's size or less
+    blas = FakeBlas(2)
+    monkeypatch.setattr(spikenet, "_openblas", lambda: (blas.get, blas.set))
     cfg = SpikeNetConfig()
     x = log_diff_sequence(gen_scene(SceneSpec("mixed", 64, 64, 1000.0, 0.251, seed=2)))
     pad = (cfg.kernel - 1) // 2
     buf = cfg.channels * _BLOCK * (x.k + 2 * pad) * 4
+    unfold = cfg.kernel * cfg.channels * _TILE * 4
     _, peak = traced_peak(infer_stream, x, init_params(cfg, 0), cfg)
-    assert peak < 2 * buf + 3 * x.data.nbytes
+    assert peak < 2 * (2 * buf + unfold) + 3 * x.data.nbytes
+
+
+def _block_threads(monkeypatch, blas, threads):
+    """Run infer_stream's blocks under blas, checking that each of threads
+    threads takes a block: each waits at its first until all have one.
+    Returns the list of the threads that ran each block."""
+    monkeypatch.setattr(spikenet, "_openblas", lambda: blas and (blas.get, blas.set))
+    barrier = threading.Barrier(threads, timeout=30)
+    ran_on = []
+    rows = spikenet._infer_rows
+
+    def first_waits(*args):
+        if threading.get_ident() not in ran_on:
+            barrier.wait()
+        ran_on.append(threading.get_ident())
+        rows(*args)
+    monkeypatch.setattr(spikenet, "_infer_rows", first_waits)
+    return ran_on
+
+
+@pytest.mark.parametrize("threads", [None, 1, 2, 3], ids=["no_blas", "1", "2", "3"])
+def test_infer_blocks_match_forward_on_any_thread_count(monkeypatch, rng, threads):
+    # 7x9 pixels in 5-pixel blocks: 13 blocks, a multiple of neither 2 nor 3,
+    # most of them splitting a row
+    real = spikenet._openblas()
+    real_before = real and real[0]()
+    blas = threads and FakeBlas(threads)
+    monkeypatch.setattr(spikenet, "_BLOCK", 5)
+    ran_on = _block_threads(monkeypatch, blas, threads or 1)
+    cfg = SpikeNetConfig(channels=8, kernel=3, depth=1)
+    params = noisy_params(cfg, 9, dtype=np.float32)
+    seq = LogDiffSeq(9, 7, 1000.0, rng.normal(0, 0.8, (40, 7, 9)).astype(np.float32))
+    active = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # so the threads interleave as often as they can
+    try:
+        stream = infer_stream(seq, params, cfg, chunk=16)
+    finally:
+        sys.setswitchinterval(interval)
+    full, _ = forward(seq.pixel_sequences(), params, cfg, mode="hard")
+    assert np.array_equal(stream.data, full.reshape(7, 9, 40).transpose(2, 0, 1))
+    assert np.abs(stream.data).sum() > 0
+    assert len(ran_on) == 13 and len(set(ran_on)) == (threads or 1)
+    assert threading.active_count() == active
+    if threads:
+        assert blas.n == threads
+        assert blas.calls == ([1, threads] if threads > 1 else [])
+    assert (real and real[0]()) == real_before
+
+
+def test_infer_uses_at_most_half_the_block_count_in_threads(monkeypatch, rng):
+    # 3 blocks: a second thread would have one block, so the caller runs all
+    monkeypatch.setattr(spikenet, "_BLOCK", 5)
+    blas = FakeBlas(4)
+    ran_on = _block_threads(monkeypatch, blas, 1)
+    cfg = SpikeNetConfig(channels=4, kernel=3, depth=1)
+    seq = LogDiffSeq(5, 3, 1000.0, rng.normal(0, 0.8, (12, 3, 5)).astype(np.float32))
+    infer_stream(seq, init_params(cfg, 0), cfg)
+    assert len(ran_on) == 3 and len(set(ran_on)) == 1 and blas.calls == []
+
+
+@pytest.mark.parametrize("which", ["fake", "openblas"])
+def test_infer_error_in_a_helper_thread_reaches_the_caller(monkeypatch, rng, which):
+    if which == "openblas":
+        get, set_ = spikenet._openblas() or pytest.skip("numpy's BLAS is not OpenBLAS")
+        old = get()
+        set_(2)
+    else:
+        blas = FakeBlas(2)
+        get, set_ = blas.get, blas.set
+    monkeypatch.setattr(spikenet, "_openblas", lambda: (get, set_))
+    rows = spikenet._infer_rows
+    helper_began = threading.Event()
+    taken = []
+
+    def helper_fails(*args):
+        taken.append(args)
+        if threading.current_thread() is threading.main_thread():
+            helper_began.wait(30)  # so the helper takes a block ...
+            time.sleep(0.2)  # ... and has failed before this one ends
+            return rows(*args)
+        helper_began.set()
+        raise KeyError("helper block")
+    monkeypatch.setattr(spikenet, "_infer_rows", helper_fails)
+    monkeypatch.setattr(spikenet, "_BLOCK", 5)
+    cfg = SpikeNetConfig(channels=4, kernel=3, depth=1)
+    seq = LogDiffSeq(9, 7, 1000.0, rng.normal(0, 0.8, (12, 7, 9)).astype(np.float32))
+    active = threading.active_count()
+    try:
+        with pytest.raises(KeyError, match="helper block"):
+            infer_stream(seq, init_params(cfg, 0), cfg)
+        assert len(taken) <= 2  # of 13: no block is taken after the failure
+        assert threading.active_count() == active
+        assert get() == 2
+    finally:
+        if which == "openblas":
+            set_(old)
 
 
 def test_infer_output_independent_of_blas_threads(tmp_path):
