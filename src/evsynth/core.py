@@ -127,8 +127,9 @@ class LogDiffSeq(_PixelSeq):
 
     _DTYPE = np.float32
 
-    def _check_values(self):
-        if not np.all(np.isfinite(self.data)):
+    def _check_values(self):  # min and max allocate no mask; NaN fails both
+        d = self.data
+        if not (-F32_MAX <= d.min(initial=0) and d.max(initial=0) <= F32_MAX):
             raise ValueError("entries must be finite")
 
 
@@ -138,8 +139,9 @@ class SpikeTrain(_PixelSeq):
     _DTYPE = np.int8
 
     def _check_values(self):
-        bad = np.setdiff1d(np.unique(self.data), [-1, 0, 1])
-        if bad.size:
+        d = self.data
+        if not (-1 <= d.min(initial=0) and d.max(initial=0) <= 1):
+            bad = np.setdiff1d(np.unique(d), [-1, 0, 1])
             raise ValueError(f"entries outside {{-1,0,1}}: {bad}")
 
 

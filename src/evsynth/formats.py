@@ -17,6 +17,7 @@ header of magic and u16 version=1, then a body whose length the header fixes.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 from pathlib import Path
@@ -33,11 +34,12 @@ _FSEQ_HEADER = struct.Struct("<4sHHHIfB")
 _CSV_HEADER = "t_us,x,y,p"
 
 
-def _write_container(path, header: bytes, body: np.ndarray) -> None:
-    """Write header, then body's bytes in C order, with no joined copy."""
+def _write_container(path, header: bytes, *bodies: np.ndarray) -> None:
+    """Write header, then each body's bytes in C order, with no joined copy."""
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(body))
+        for body in bodies:
+            fh.write(np.ascontiguousarray(body))
 
 
 def write_evt1(e: EventList, path) -> None:
@@ -45,12 +47,12 @@ def write_evt1(e: EventList, path) -> None:
                      e.records)
 
 
-def _read_container(path, header: struct.Struct, magic: bytes, body=None):
-    """A file's header fields after magic and version, and its body.
-
-    body(fields, size), given the fields and the body's size in bytes from
-    fstat, checks that size and returns an array the body is read into, so
-    the file's bytes are held once; without body the body is read as bytes.
+@contextlib.contextmanager
+def _read_container(path, header: struct.Struct, magic: bytes):
+    """Open a container file and check its magic and version; yields
+    (fields, size, read): the header fields after the version, the body's
+    size in bytes from fstat, and read(arr), which fills arr, sized to the
+    body, from the file and returns it, so the file's bytes are held once.
     """
     with open(path, "rb") as fh:
         head = fh.read(header.size)
@@ -61,24 +63,22 @@ def _read_container(path, header: struct.Struct, magic: bytes, body=None):
             raise FormatError(f"{path}: bad magic {found!r}")
         if version != 1:
             raise FormatError(f"{path}: unsupported version {version}")
-        if body is None:
-            return fields, fh.read()
         size = os.fstat(fh.fileno()).st_size - header.size
-        arr = body(fields, size)
-        if fh.readinto(arr) != size:
-            raise FormatError(f"{path}: file shrank while being read")
-        return fields, arr
+
+        def read(arr):
+            if fh.readinto(arr) != size:
+                raise FormatError(f"{path}: file shrank while being read")
+            return arr
+        yield fields, size, read
 
 
 def read_evt1(path) -> EventList:
-    def records(fields, size):
-        count = fields[2]
+    with _read_container(path, _EVT1_HEADER, _EVT1_MAGIC) as (
+            (width, height, count), size, read):
         if size != count * EVENT_DTYPE.itemsize:
             raise FormatError(f"{path}: expected {count} records, "
                               f"got {size} payload bytes")
-        return np.empty(count, EVENT_DTYPE)
-
-    (width, height, _), rec = _read_container(path, _EVT1_HEADER, _EVT1_MAGIC, records)
+        rec = read(np.empty(count, EVENT_DTYPE))
     return _build_list(path, width, height, rec)
 
 
@@ -130,19 +130,14 @@ def write_fseq(f: FrameSeq, path) -> None:
 
 
 def read_fseq(path) -> FrameSeq:
-    def frames(fields, size):
-        width, height, n_frames, _, channels = fields
+    with _read_container(path, _FSEQ_HEADER, _FSEQ_MAGIC) as (
+            (width, height, n_frames, fps, channels), size, read):
         if channels != 3:
             raise FormatError(f"{path}: expected 3 channels, got {channels}")
         expect = n_frames * height * width * 3 * 4
         if size != expect:
             raise FormatError(f"{path}: expected {expect} payload bytes, got {size}")
-        # an array, not a view of the bytes: the 19-byte header would
-        # leave a view unaligned
-        return np.empty((n_frames, height, width, 3), "<f4")
-
-    (width, height, _, fps, _), arr = _read_container(path, _FSEQ_HEADER,
-                                                      _FSEQ_MAGIC, frames)
+        arr = read(np.empty((n_frames, height, width, 3), "<f4"))
     try:
         return FrameSeq(width, height, fps, arr)
     except ValueError as exc:

@@ -65,7 +65,7 @@ def _simulate_rows(x: np.ndarray, fps: float, cfg: RefSimConfig, key: np.ndarray
                    theta_p: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Fold the sensor model over x (K, H, W) given each pixel's hashed
     (seed, y, x) key; returns the (K, H, W) spikes and leaves the final
-    membrane potentials in v."""
+    membrane potentials in v, float64, which x's float32 rows widen into exactly."""
     p_leak = cfg.leak_rate / fps
     p_shot = cfg.shot_rate / fps
     out = np.empty(x.shape, dtype=np.int8)
@@ -100,7 +100,7 @@ def simulate(x: LogDiffSeq, cfg: RefSimConfig, return_state: bool = False):
         v = np.zeros_like(theta_p)
     else:
         v = (2.0 * rng.unit_uniform(rng.fold(key, _SALT_INIT)) - 1.0) * theta_p
-    out = _simulate_rows(x.data.astype(np.float64), x.fps, cfg, key, theta_p, v)
+    out = _simulate_rows(x.data, x.fps, cfg, key, theta_p, v)
     # a non-finite threshold or potential leaves inf or nan in v for good
     if not np.isfinite(v).all():
         raise ConfigError("thresholds or membrane potentials overflow; lower theta")

@@ -19,7 +19,7 @@ from .errors import ConfigError
 KINDS = ("moving_edge", "grating", "flashing_light", "mixed")
 
 _SALT_NOISE = 11
-_NOISE_BLOCK = 2**18  # noise values per add_render_noise block (at least one frame)
+_NOISE_BLOCK = 2**18  # values per gen_scene or add_render_noise block (at least one frame)
 _U16_MAX = 65535
 
 
@@ -112,11 +112,11 @@ def _interval_coverage(lo: np.ndarray, hi: np.ndarray, width: int) -> np.ndarray
     return seg(lo, lo + span) + seg(lo - width, lo + span - width)
 
 
-def _gray_frames(spec: SceneSpec) -> np.ndarray:
+def _gray_frames(spec: SceneSpec, ks: np.ndarray) -> np.ndarray:
+    """The scene's gray frames ks (float64 frame indices), (len(ks), h, w)."""
     lo, hi = spec.levels()
-    n, w, h = spec.n_frames, spec.width, spec.height
+    n, w, h = len(ks), spec.width, spec.height
     u = _phase(spec)
-    ks = np.arange(n, dtype=np.float64)
     out = np.empty((n, h, w), dtype=np.float64)
 
     if spec.kind == "moving_edge":
@@ -143,17 +143,23 @@ def _gray_frames(spec: SceneSpec) -> np.ndarray:
             if strip_h == 0:
                 continue
             sub = replace(spec, kind=kind, height=strip_h, seed=spec.seed + i + 1)
-            out[:, thirds[i]:thirds[i + 1], :] = _gray_frames(sub)
+            out[:, thirds[i]:thirds[i + 1], :] = _gray_frames(sub, ks)
     return out
 
 
 def gen_scene(spec: SceneSpec) -> FrameSeq:
-    """Render the scene analytically; deterministic in spec (incl. seed)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        gray = _gray_frames(spec)
-    if not np.isfinite(gray).all():
-        raise ConfigError("scene motion overflows; lower velocity or spatial_freq")
-    frames = np.repeat(gray.astype(np.float32)[..., None], 3, axis=-1)
+    """Render the scene analytically; deterministic in spec (incl. seed).
+    Blocks of whole frames, _NOISE_BLOCK gray values or one frame, go
+    straight into the float32 RGB output, so float64 is held a block at a time."""
+    n, h, w = spec.n_frames, spec.height, spec.width
+    step = max(1, _NOISE_BLOCK // (h * w))
+    frames = np.empty((n, h, w, 3), np.float32)
+    for a in range(0, n, step):
+        with np.errstate(over="ignore", invalid="ignore"):
+            gray = _gray_frames(spec, np.arange(a, min(a + step, n), dtype=np.float64))
+        if not np.isfinite(gray).all():
+            raise ConfigError("scene motion overflows; lower velocity or spatial_freq")
+        frames[a:a + step] = gray[..., None]
     return FrameSeq(spec.width, spec.height, spec.fps, frames)
 
 

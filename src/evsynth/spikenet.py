@@ -19,7 +19,6 @@ import functools
 import struct
 import threading
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -171,17 +170,6 @@ def _unfold_tiles(xf: np.ndarray, off: int, k: int, cols: int):
     return tiles()
 
 
-def _tile_cols(xf: np.ndarray, a: int, n: int) -> np.ndarray:
-    """Columns a..a+n-1 of xf at full _TILE width: a view, or for a short
-    last tile a copy zero past n.  So every dw GEMM has one shape, as every
-    _correlate GEMM does, and its bits do not depend on the BLAS threads."""
-    if n == _TILE:
-        return xf[:, a:a + n]
-    tile = np.zeros((xf.shape[0], _TILE), xf.dtype)
-    tile[:, :n] = xf[:, a:a + n]
-    return tile
-
-
 def _correlate(xf: np.ndarray, p: int, w: np.ndarray, n_b: int, b=None,
                rf=None, relu: bool = False, on_tile=None,
                into_rf: bool = False) -> np.ndarray:
@@ -198,7 +186,7 @@ def _correlate(xf: np.ndarray, p: int, w: np.ndarray, n_b: int, b=None,
     the batch or the window around it.  Window start p - pad + s gives the
     output at buffer column p + s; columns whose window runs into the next
     sequence land on pad columns and are zeroed after the last tile.
-    on_tile(a, n, u), when given, sees each tile's full-width unfold.
+    on_tile(u), when given, sees each tile's full-width unfold.
     """
     co, ci, k = w.shape
     width = xf.shape[1]
@@ -236,7 +224,7 @@ def _correlate(xf: np.ndarray, p: int, w: np.ndarray, n_b: int, b=None,
         if relu:
             np.maximum(out, 0, out=out)
         if on_tile is not None:
-            on_tile(a, n, u)
+            on_tile(u)
     y[:, :, :p] = 0
     y[:, :, y.shape[2] - p:] = 0
     return _interior(y, p)
@@ -267,7 +255,10 @@ def conv1d_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray, *,
     gy[o, s + pad - j] at column s, so the same unfold times x's columns
     gives dw[o, :, j] = sum_s gy[o, s + pad - j] x[:, s], tile by tile.
     Without dx, dw instead comes from gy's columns times an unfold of x,
-    which has k*Ci rows rather than k*Co.
+    which has k*Ci rows rather than k*Co.  Those columns of x or gy are
+    _unfold_tiles' k=1 tiles, at full _TILE width, so every dw GEMM has one
+    shape, as every _correlate GEMM does, and its bits do not depend on the
+    BLAS threads.
     """
     co, ci, k = w.shape
     pad = (k - 1) // 2
@@ -276,20 +267,20 @@ def conv1d_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray, *,
     cols = xf.shape[1] - 2 * p
     dtype = np.result_type(gy, x)
     if input_grad:
-        x_cols = xf[:, p:p + cols]  # x at each dx column
+        x_tiles = _unfold_tiles(xf, p, 1, cols)  # x at each dx column
         dw_rows = np.zeros((k * co, ci), dtype)  # row (k-1-j, o)
 
-        def add_dw(a, n, u):
-            dw_rows[:] += u @ _tile_cols(x_cols, a, n).T
+        def add_dw(u):
+            dw_rows[:] += u @ next(x_tiles)[2].T
 
         dx = _correlate(gf, p, w.transpose(1, 0, 2)[:, :, ::-1], len(gy),
                         on_tile=add_dw)
         dw = dw_rows.reshape(k, co, ci)[::-1].transpose(1, 2, 0)
     else:
-        g_cols = gf[:, p:p + cols]
         dw_rows = np.zeros((co, k * ci), dtype)  # column (j, i)
-        for a, n, u in _unfold_tiles(xf, p - pad, k, cols):
-            dw_rows += _tile_cols(g_cols, a, n) @ u.T
+        for (_, _, g), (_, _, u) in zip(_unfold_tiles(gf, p, 1, cols),
+                                        _unfold_tiles(xf, p - pad, k, cols)):
+            dw_rows += g @ u.T
         dw, dx = dw_rows.reshape(co, k, ci).transpose(0, 2, 1), None
     return np.ascontiguousarray(dw), gy.sum(axis=(0, 2)), dx
 
@@ -483,7 +474,7 @@ def infer_stream(x: LogDiffSeq, p: SpikeNetParams, cfg: SpikeNetConfig,
     if not 0 <= seed < 2**64:
         raise ConfigError("seed must lie in [0, 2**64)")
     k, h, w = x.data.shape
-    pix = x.pixel_sequences()
+    pix = x.data.reshape(k, h * w).T  # (H*W, K), a view: _padded copies each block
     if v0_mode == "zero":
         v0 = np.zeros(h * w)
     else:
@@ -534,27 +525,29 @@ _EVSN_HEADER = struct.Struct("<4sH6f")
 
 def save_checkpoint(path, p: SpikeNetParams, cfg: SpikeNetConfig) -> None:
     """Write magic, version, config block, then tensors (f32, dims-prefixed)."""
-    parts = [_EVSN_HEADER.pack(_EVSN_MAGIC, 1, cfg.channels, cfg.kernel, cfg.depth,
-                               cfg.lif.tau, cfg.lif.v_th, cfg.surrogate.alpha)]
+    header = _EVSN_HEADER.pack(_EVSN_MAGIC, 1, cfg.channels, cfg.kernel, cfg.depth,
+                               cfg.lif.tau, cfg.lif.v_th, cfg.surrogate.alpha)
+    bodies = []  # each tensor's u32 rank and dims, then its f32 data
     for t in p.tensors():
-        parts.append(struct.pack(f"<{t.ndim + 1}I", t.ndim, *t.shape))
-        parts.append(np.ascontiguousarray(t, dtype="<f4").tobytes())
-    Path(path).write_bytes(b"".join(parts))
+        bodies += [np.array([t.ndim, *t.shape], "<u4"), np.asarray(t, "<f4")]
+    formats._write_container(path, header, *bodies)
 
 
 def load_checkpoint(path) -> tuple[SpikeNetParams, SpikeNetConfig]:
-    (c, k, m, tau, v_th, alpha), body = formats._read_container(
-        path, _EVSN_HEADER, _EVSN_MAGIC)
-    try:
-        c, k, m = int(c), int(k), int(m)
-        cfg = SpikeNetConfig(c, k, m, LifParams(tau, v_th), SurrogateConfig(alpha))
-    except (ValueError, OverflowError) as exc:  # ConfigError, int(nan), int(inf)
-        raise FormatError(f"{path}: bad config block: {exc}") from None
-    # each tensor is u32 rank, u32 dims, f32 data: the table's size in closed
-    # form, checked before param_shapes, so a false header allocates nothing
-    size = 52 + 4 * c * k + 8 * c + m * (48 + 8 * c * c * k + 8 * c)
-    if len(body) != size:
-        raise FormatError(f"{path}: expected {size} tensor-table bytes, got {len(body)}")
+    with formats._read_container(path, _EVSN_HEADER, _EVSN_MAGIC) as (
+            (c, k, m, tau, v_th, alpha), size, read):
+        try:
+            c, k, m = int(c), int(k), int(m)
+            cfg = SpikeNetConfig(c, k, m, LifParams(tau, v_th), SurrogateConfig(alpha))
+        except (ValueError, OverflowError) as exc:  # ConfigError, int(nan), int(inf)
+            raise FormatError(f"{path}: bad config block: {exc}") from None
+        # each tensor is u32 rank, u32 dims, f32 data: the table's size in
+        # closed form, checked before param_shapes and before any body byte
+        # is read, so a false header or an over-long body allocates nothing
+        expect = 52 + 4 * c * k + 8 * c + m * (48 + 8 * c * c * k + 8 * c)
+        if size != expect:
+            raise FormatError(f"{path}: expected {expect} tensor-table bytes, got {size}")
+        body = read(bytearray(size))
     off, tensors = 0, []
     for i, shape in enumerate(param_shapes(cfg)):
         prefix = struct.pack(f"<{len(shape) + 1}I", len(shape), *shape)

@@ -16,8 +16,10 @@ from hypothesis import example, given, settings, strategies as st
 import evsynth
 from evsynth import core, formats, spikenet
 from evsynth.cli import DEFAULTS, RunConfig, main
-from evsynth.errors import ConfigError
+from evsynth.errors import ConfigError, FormatError
 from evsynth.spikenet import SpikeNetConfig, SpikeNetParams, init_params
+
+from conftest import traced_peak
 
 
 def run(*argv):
@@ -532,17 +534,21 @@ _FUZZ_ROUTES = {"simulate": ("fseq", ["simulate"]),
 
 @settings(max_examples=300)
 @given(command=st.sampled_from(sorted(_FUZZ_ROUTES)),
-       mutation=st.one_of(  # 1-3 (position, xor mask) edits, or a length
+       mutation=st.one_of(  # 1-3 (position, xor mask) edits, a length, or
            st.lists(st.tuples(st.integers(0, 4095), st.integers(1, 255)),
                     min_size=1, max_size=3),
-           st.integers(0, 4095)))
+           st.integers(0, 4095),
+           st.integers(1, 2**20).map(bytes)))  # zero bytes to append
 @example(command="hist", mutation=[(7, 0xFF), (9, 0xFF)])  # 65288x65288 sensor
 @example(command="eval", mutation=[(7, 0xFF), (9, 0xFF)])
+@example(command="infer", mutation=bytes(2**20))
 def test_mutated_input_file_exits_0_or_2(fuzz_dir, command, mutation):
     kind, args = _FUZZ_ROUTES[command]
     data = bytearray((fuzz_dir / f"ok.{kind}").read_bytes())
     if isinstance(mutation, int):
         data = data[:mutation % len(data)]
+    elif isinstance(mutation, bytes):
+        data += mutation
     else:
         for pos, mask in mutation:
             data[pos % len(data)] ^= mask
@@ -559,6 +565,24 @@ def test_mutated_input_file_exits_0_or_2(fuzz_dir, command, mutation):
         assert len(lines) == 1 and lines[0].startswith("evsynth: "), lines
     else:
         assert lines == []
+
+
+def test_evsn_with_50mb_appended_exits_2_holding_none_of_it(fuzz_dir, tmp_path, capsys):
+    model = tmp_path / "long.evsn"
+    model.write_bytes((fuzz_dir / "ok.evsn").read_bytes())
+    size = model.stat().st_size
+    os.truncate(model, size + 50_000_000)  # zeros, sparse on disk
+    assert main(["infer", str(fuzz_dir / "ok.fseq"), str(model),
+                 "--out", str(tmp_path / "o.evt1")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"evsynth: {model}: expected {size - 30} tensor-table bytes, "
+                     f"got {size - 30 + 50_000_000}"]
+
+    def refuse():
+        with pytest.raises(FormatError, match="tensor-table bytes"):
+            spikenet.load_checkpoint(model)
+    _, peak = traced_peak(refuse)
+    assert peak < 2**20
 
 
 def test_cli_import_adds_neither_ctypes_nor_thread_pools():

@@ -1,12 +1,14 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from evsynth.core import (EventList, SpikeTrain, dense_to_sparse,
-                          sparse_to_dense, tick_to_us, time_bins, us_to_tick,
-                          voxelize)
+from evsynth.core import (F32_MAX, EventList, LogDiffSeq, SpikeTrain,
+                          dense_to_sparse, sparse_to_dense, tick_to_us,
+                          time_bins, us_to_tick, voxelize)
 from evsynth.errors import CollisionError, ConfigError, RangeError
 
 from conftest import random_event_list
@@ -131,3 +133,23 @@ def test_rates_must_be_finite_and_positive(rate):
 def test_spike_train_rejects_out_of_range_entries():
     with pytest.raises(ValueError):
         SpikeTrain(1, 1, 1000.0, np.full((2, 1, 1), 2, np.int8))
+
+
+@pytest.mark.parametrize("value,ok", [(np.nan, False), (np.inf, False),
+                                      (-np.inf, False), (F32_MAX, True),
+                                      (-F32_MAX, True)])
+def test_log_diff_seq_accepts_exactly_the_finite_entries(value, ok):
+    data = np.zeros((2, 1, 2), np.float32)
+    data[1, 0, 1] = value
+    if ok:
+        LogDiffSeq(2, 1, 1000.0, data)
+    else:
+        with pytest.raises(ValueError, match="^entries must be finite$"):
+            LogDiffSeq(2, 1, 1000.0, data)
+
+
+@pytest.mark.parametrize("bad", [-2, 127])
+def test_spike_train_names_its_out_of_range_entries(bad):
+    data = np.array([[[-1, 0]], [[1, bad]]], np.int8)
+    with pytest.raises(ValueError, match=re.escape(f"entries outside {{-1,0,1}}: [{bad}]")):
+        SpikeTrain(2, 1, 1000.0, data)

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from evsynth.core import LogDiffSeq
+from evsynth.luminance import log_diff_sequence
 from evsynth.refsim import (RefSimConfig, naive_baseline,
                             pixel_thresholds, simulate)
+from evsynth.scenegen import SceneSpec, gen_scene
 from evsynth.spiking import LifParams
+from conftest import traced_peak
 from lif_oracle import bilif_sequence
 
 
@@ -132,3 +135,13 @@ def test_noise_rates_produce_extra_events(rng):
     # expected (5 + 20) / 1000 per tick per pixel = 12800 total
     assert 0.7 * 12800 < count < 1.3 * 12800
     assert not simulate(quiet, RefSimConfig(theta=0.2, **NOISELESS)).data.any()
+
+
+@pytest.mark.parametrize("init_mode", ["zero", "uniform"])
+def test_simulate_peak_is_below_its_input(init_mode):
+    # each float32 tick widens into the float64 membrane as it is added, so
+    # simulate holds no float64 copy of the clip: only its int8 output and
+    # one tick's temporaries
+    x = log_diff_sequence(gen_scene(SceneSpec("mixed", 64, 64, 1000.0, 0.251, seed=2)))
+    _, peak = traced_peak(simulate, x, RefSimConfig(init_mode=init_mode))
+    assert peak < x.data.nbytes
