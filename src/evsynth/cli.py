@@ -1,11 +1,12 @@
 """Command-line front end: gen, simulate, train, infer, eval, hist.
 
 Configuration is plain-text ``section.key = value`` lines merged with command
-line flags (flags win).  A section's keys and defaults are the defaulted
-fields of its config type (``DEFAULTS``), and a command builds that type from
-the section's resolved values.  After a command succeeds, ``main`` writes the
-fully resolved configuration as ``run.cfg`` next to its output.  Exit codes:
-0 success, 1 usage/config error, 2 data/format error, 3 numeric divergence.
+line flags (flags win).  A section's keys and defaults are the fields of its
+config type (``DEFAULTS``), and a command builds that type from the section's
+resolved values by the same rule (``_fields``, ``_build``).  After a command
+succeeds, ``main`` writes the fully resolved configuration as ``run.cfg`` next
+to its output.  Exit codes: 0 success, 1 usage/config error, 2 data/format
+error, 3 numeric divergence.
 """
 
 from __future__ import annotations
@@ -21,27 +22,42 @@ from .errors import ConfigError, EvsynthError
 from .luminance import LuminanceConfig, log_diff_sequence
 from .refsim import RefSimConfig
 from .scenegen import NoiseModel, SceneSpec
-from .spiking import LifParams, SurrogateConfig
 from .spikenet import SpikeNetConfig
 
 
-def _field_defaults(*types, rename=None) -> dict[str, object]:
-    """Every field of ``types`` that has a default, in declaration order."""
-    rename = rename or {}
-    return {rename.get(f.name, f.name): f.default
-            for t in types for f in fields(t) if f.default is not MISSING}
+def _key(name: str) -> str:
+    # a field's config key is its name, but a key may not be a Python keyword
+    return "lambda" if name == "count_weight" else name
+
+
+def _fields(t) -> dict[str, object]:
+    """Config type ``t``'s keys and defaults, in declaration order.  A field
+    holding a nested config type (a ``default_factory``) gives that type's
+    keys in its place."""
+    out = {}
+    for f in fields(t):
+        if f.default_factory is not MISSING:
+            out.update(_fields(f.default_factory))
+        else:
+            out[_key(f.name)] = f.default
+    return out
+
+
+def _build(t, values: dict[str, object]):
+    """Config type ``t`` from a section's resolved values, by ``_fields``' rule."""
+    return t(**{f.name: _build(f.default_factory, values)
+                if f.default_factory is not MISSING
+                else values[_key(f.name)] for f in fields(t)})
 
 
 # Literal entries are keys no config type holds.
 DEFAULTS: dict[str, dict[str, object]] = {
-    "scene": _field_defaults(SceneSpec),
-    "noise": _field_defaults(NoiseModel),
-    "lum": _field_defaults(LuminanceConfig),
-    "sim": _field_defaults(RefSimConfig),
-    "net": {**_field_defaults(SpikeNetConfig, LifParams, SurrogateConfig),
-            "v0_mode": "zero"},
-    "train": {**_field_defaults(train_mod.TrainConfig,
-                                rename={"count_weight": "lambda"}),
+    "scene": _fields(SceneSpec),
+    "noise": _fields(NoiseModel),
+    "lum": _fields(LuminanceConfig),
+    "sim": _fields(RefSimConfig),
+    "net": {**_fields(SpikeNetConfig), "v0_mode": "zero"},
+    "train": {**_fields(train_mod.TrainConfig),
               "kinds": "moving_edge,grating,flashing_light"},
     "eval": {"fps": 1000.0, "bin_fps": 60.0, "buckets": 32},
 }
@@ -111,21 +127,6 @@ def _out_path(path) -> Path:
     return path
 
 
-def _net_config(cfg: RunConfig) -> SpikeNetConfig:
-    return SpikeNetConfig(
-        channels=cfg["net.channels"], kernel=cfg["net.kernel"],
-        depth=cfg["net.depth"], lif=LifParams(cfg["net.tau"], cfg["net.v_th"]),
-        surrogate=SurrogateConfig(cfg["net.alpha"]))
-
-
-def _train_config(cfg: RunConfig) -> train_mod.TrainConfig:
-    return train_mod.TrainConfig(
-        epochs=cfg["train.epochs"], batch=cfg["train.batch"],
-        lr=cfg["train.lr"], count_weight=cfg["train.lambda"],
-        clip=cfg["train.clip"], seed=cfg["train.seed"],
-        holdout=cfg["train.holdout"])
-
-
 def _read_events(path) -> core.EventList:
     path = Path(path)
     if path.suffix == ".csv":
@@ -143,10 +144,10 @@ def _write_events(e: core.EventList, path) -> None:
 
 def cmd_gen(args, cfg: RunConfig) -> None:
     # both clips are made before either is written, so a failure writes none
-    clean = scenegen.gen_scene(SceneSpec(**cfg.values["scene"]))
+    clean = scenegen.gen_scene(_build(SceneSpec, cfg.values["scene"]))
     outputs = [(args.out, clean)]
     if args.noisy_out:
-        noise = NoiseModel(**cfg.values["noise"])
+        noise = _build(NoiseModel, cfg.values["noise"])
         outputs.append((args.noisy_out, scenegen.add_render_noise(clean, noise)))
     for path, frames in outputs:
         formats.write_fseq(frames, _out_path(path))
@@ -154,8 +155,8 @@ def cmd_gen(args, cfg: RunConfig) -> None:
 
 def cmd_simulate(args, cfg: RunConfig) -> None:
     x = log_diff_sequence(formats.read_fseq(args.input),
-                          LuminanceConfig(**cfg.values["lum"]))
-    train_out = refsim.simulate(x, RefSimConfig(**cfg.values["sim"]))
+                          _build(LuminanceConfig, cfg.values["lum"]))
+    train_out = refsim.simulate(x, _build(RefSimConfig, cfg.values["sim"]))
     _write_events(core.dense_to_sparse(train_out), args.out)
 
 
@@ -164,13 +165,14 @@ def cmd_train(args, cfg: RunConfig) -> None:
     if not kinds:
         raise ConfigError("train.kinds is empty")
     # train renders one scene per kind, so scene.kind is not read here
-    scenes = [SceneSpec(**{**cfg.values["scene"], "kind": k,
-                           "seed": cfg["scene.seed"] + i})
+    scenes = [_build(SceneSpec, {**cfg.values["scene"], "kind": k,
+                                 "seed": cfg["scene.seed"] + i})
               for i, k in enumerate(kinds)]
-    net_cfg, t_cfg = _net_config(cfg), _train_config(cfg)
-    data = train_mod.make_dataset(scenes, NoiseModel(**cfg.values["noise"]),
-                                  RefSimConfig(**cfg.values["sim"]),
-                                  LuminanceConfig(**cfg.values["lum"]))
+    net_cfg = _build(SpikeNetConfig, cfg.values["net"])
+    t_cfg = _build(train_mod.TrainConfig, cfg.values["train"])
+    data = train_mod.make_dataset(scenes, _build(NoiseModel, cfg.values["noise"]),
+                                  _build(RefSimConfig, cfg.values["sim"]),
+                                  _build(LuminanceConfig, cfg.values["lum"]))
     out_dir = Path(args.out)
     params, history = train_mod.train(data, net_cfg, t_cfg,
                                       checkpoint_dir=out_dir,
@@ -180,10 +182,9 @@ def cmd_train(args, cfg: RunConfig) -> None:
 
 
 def cmd_infer(args, cfg: RunConfig) -> None:
-    frames = formats.read_fseq(args.input)
     params, net_cfg = spikenet.load_checkpoint(args.checkpoint)
-    x = log_diff_sequence(frames, LuminanceConfig(**cfg.values["lum"]))
-    del frames  # the clip is not needed while the network runs
+    x = log_diff_sequence(formats.read_fseq(args.input),
+                          _build(LuminanceConfig, cfg.values["lum"]))
     spikes = spikenet.infer_stream(x, params, net_cfg,
                                    v0_mode=cfg["net.v0_mode"],
                                    seed=cfg["sim.seed"])
@@ -235,12 +236,12 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("simulate", help="reference sensor sim: FSEQ -> events")
     common(p)
     p.add_argument("input", help="input .fseq file")
-    p.add_argument("--theta", type=float, help="contrast threshold")
+    p.add_argument("--theta", dest="sim.theta", help="contrast threshold")
 
     p = sub.add_parser("train", help="build dataset and train the network")
     common(p)
-    p.add_argument("--lambda", dest="lam", type=float, help="count-loss weight")
-    p.add_argument("--epochs", type=int)
+    p.add_argument("--lambda", dest="train.lambda", help="count-loss weight")
+    p.add_argument("--epochs", dest="train.epochs")
     p.add_argument("--verbose", action="store_true")
 
     p = sub.add_parser("infer", help="network inference: FSEQ -> events")
@@ -272,13 +273,10 @@ def _resolve_config(args) -> RunConfig:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         dotted, raw = item.split("=", 1)
         cfg.set(dotted.strip(), raw.strip())
-    # per-command shorthand flags win over config file values
-    if getattr(args, "theta", None) is not None:
-        cfg.set("sim.theta", str(args.theta))
-    if getattr(args, "lam", None) is not None:
-        cfg.set("train.lambda", str(args.lam))
-    if getattr(args, "epochs", None) is not None:
-        cfg.set("train.epochs", str(args.epochs))
+    # per-command shorthand flags (dest "section.key") win over the above
+    for dotted, raw in vars(args).items():
+        if "." in dotted and raw is not None:
+            cfg.set(dotted, raw)
     if args.seed is not None:
         cfg.override_seed(args.seed)
     return cfg

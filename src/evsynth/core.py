@@ -90,11 +90,6 @@ class FrameSeq:
     def n_frames(self) -> int:
         return self.frames.shape[0]
 
-    @property
-    def k(self) -> int:
-        """Number of inter-frame steps (one fewer than frames)."""
-        return self.n_frames - 1
-
 
 @dataclass
 class _PixelSeq:

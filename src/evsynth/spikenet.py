@@ -537,9 +537,11 @@ def load_checkpoint(path) -> tuple[SpikeNetParams, SpikeNetConfig]:
     with formats._read_container(path, _EVSN_HEADER, _EVSN_MAGIC) as (
             (c, k, m, tau, v_th, alpha), size, read):
         try:
+            if not all(v.is_integer() for v in (c, k, m)):  # false for nan and inf
+                raise ValueError("channels, kernel and depth must be whole numbers")
             c, k, m = int(c), int(k), int(m)
             cfg = SpikeNetConfig(c, k, m, LifParams(tau, v_th), SurrogateConfig(alpha))
-        except (ValueError, OverflowError) as exc:  # ConfigError, int(nan), int(inf)
+        except ValueError as exc:  # ConfigError too
             raise FormatError(f"{path}: bad config block: {exc}") from None
         # each tensor is u32 rank, u32 dims, f32 data: the table's size in
         # closed form, checked before param_shapes and before any body byte

@@ -48,6 +48,7 @@ class TrainConfig:
             raise ConfigError("holdout must lie in [0, 0.5]")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
+        LossConfig(self.count_weight)  # its rule, checked before any data is built
 
 
 @dataclass

@@ -342,6 +342,18 @@ def test_theta_flag_wins_over_config(tmp_path):
     assert "sim.theta = 0.1" in (tmp_path / "run.cfg").read_text()
 
 
+def test_train_lambda_checked_before_the_dataset(tmp_path, capsys, monkeypatch):
+    import evsynth.cli as cli_mod
+
+    def no_dataset(*args, **kwargs):
+        raise AssertionError("make_dataset ran before train.lambda was checked")
+
+    monkeypatch.setattr(cli_mod.train_mod, "make_dataset", no_dataset)
+    assert run("train", "--out", str(tmp_path / "r"), "--lambda", "-1") == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("evsynth: ")
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_diverging_train_writes_no_checkpoint(tmp_path, capsys):
     out = tmp_path / "r"
@@ -452,6 +464,8 @@ def test_adversarial_config_value_ends_in_exit_code(tmp_path, capsys,
     ("simulate", "--set sim.theta=1e300 --set sim.sigma_theta=1e10"),
     # leak and shot events in one tick push a potential past float64
     ("simulate", "--set sim.theta=1e308 --set sim.leak_rate=500 --set sim.shot_rate=500"),
+    # the shorthand flags parse like --set
+    ("simulate", "--theta abc"), ("train", "--lambda nan"), ("train", "--epochs 2.5"),
 ])
 def test_out_of_range_value_exits_1(tmp_path, capsys, sweep_inputs, command,
                                     bad):
@@ -590,6 +604,18 @@ def test_cli_import_adds_neither_ctypes_nor_thread_pools():
     # them; numpy may load ctypes itself, so only evsynth's own imports count
     code = ("import sys, numpy; pre = set(sys.modules); import evsynth.cli; "
             "print(sorted({'ctypes', 'concurrent.futures'} & (set(sys.modules) - pre)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(evsynth.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_module_import_adds_no_other_command_modules():
+    # evsynth/__init__ imports nothing, so eval's modules load without the
+    # network, the trainer, the reference simulator or the scene renderer
+    code = ("import sys; import evsynth.metrics; print(sorted({'evsynth.spikenet', "
+            "'evsynth.train', 'evsynth.refsim', 'evsynth.scenegen'} & set(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=str(Path(evsynth.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=120)

@@ -562,7 +562,7 @@ def test_checkpoint_truncated(tmp_path):
 
 
 @pytest.mark.parametrize("field,value", [(1, 4.0), (0, np.nan), (2, np.inf),
-                                         (3, 0.5)])
+                                         (3, 0.5), (0, 4.5), (1, 3.5), (2, 2.5)])
 def test_checkpoint_bad_config_block_is_format_error(tmp_path, field, value):
     cfg = small_cfg()
     path = tmp_path / "model.evsn"
