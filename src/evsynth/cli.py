@@ -154,9 +154,10 @@ def cmd_gen(args, cfg: RunConfig) -> None:
 
 
 def cmd_simulate(args, cfg: RunConfig) -> None:
-    x = log_diff_sequence(formats.read_fseq(args.input),
-                          _build(LuminanceConfig, cfg.values["lum"]))
-    train_out = refsim.simulate(x, _build(RefSimConfig, cfg.values["sim"]))
+    lum = _build(LuminanceConfig, cfg.values["lum"])
+    sim = _build(RefSimConfig, cfg.values["sim"])
+    x = log_diff_sequence(formats.read_fseq(args.input), lum)
+    train_out = refsim.simulate(x, sim)
     _write_events(core.dense_to_sparse(train_out), args.out)
 
 
@@ -182,9 +183,10 @@ def cmd_train(args, cfg: RunConfig) -> None:
 
 
 def cmd_infer(args, cfg: RunConfig) -> None:
+    lum = _build(LuminanceConfig, cfg.values["lum"])
+    spikenet.check_v0(cfg["net.v0_mode"], cfg["sim.seed"])
     params, net_cfg = spikenet.load_checkpoint(args.checkpoint)
-    x = log_diff_sequence(formats.read_fseq(args.input),
-                          _build(LuminanceConfig, cfg.values["lum"]))
+    x = log_diff_sequence(formats.read_fseq(args.input), lum)
     spikes = spikenet.infer_stream(x, params, net_cfg,
                                    v0_mode=cfg["net.v0_mode"],
                                    seed=cfg["sim.seed"])

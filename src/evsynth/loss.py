@@ -26,7 +26,7 @@ class LossConfig:
 
     def __post_init__(self):
         if self.count_weight < 0:
-            raise ConfigError("count_weight must be >= 0")
+            raise ConfigError("lambda, the count weight, must be >= 0")
 
 
 @dataclass

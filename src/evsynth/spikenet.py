@@ -30,6 +30,7 @@ from .spiking import (LifParams, SurrogateConfig, bilif_fold, soft_bilif,
 
 _SALT_V0 = 31
 _TILE = 4096  # output columns per conv GEMM
+_TILES_PER_THREAD = 4  # a conv's tiles per thread, at least (_blas_threads)
 _BLOCK = 128  # pixels per infer_stream block
 # OpenBLAS's thread-count functions, by the names its builds export
 _OPENBLAS_NAMES = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
@@ -146,73 +147,79 @@ def _padded(x: np.ndarray, pad: int, exact: bool = False):
     return buf.reshape(c, -1), pad
 
 
-def _unfold_tiles(xf: np.ndarray, off: int, k: int, cols: int):
-    """Iterator of (a, n, u) per tile of _TILE window starts a..a+n-1 over xf.
+def _unfold(xf: np.ndarray, off: int, k: int, cols: int, i: int, u=None):
+    """(a, n, op) of tile i of the window starts 0..cols-1 over xf: its n
+    starts a.., and their GEMM operand (k*Ci, _TILE).
 
-    Row block j of u (k*Ci, _TILE) holds xf[:, off+a+j : off+a+j+n], and its
-    columns past n are zero.  A full tile of a k=1 conv is xf's own columns,
-    with no copy; every other tile is copied into one buffer, allocated by
-    this call.
+    Row block j of op holds xf[:, off+a+j : off+a+j+n], and its columns past
+    n are zero.  A full tile of a k=1 conv is xf's own columns, with no copy;
+    every other tile is copied into u (k, Ci, _TILE), or into a new buffer
+    when u is None.
     """
-    u = np.empty((k, xf.shape[0], _TILE), xf.dtype)
-    u2 = u.reshape(-1, _TILE)
-
-    def tiles():
-        for a in range(0, cols, _TILE):
-            n = min(_TILE, cols - a)
-            if k == 1 and n == _TILE:
-                yield a, n, xf[:, off + a:off + a + n]
-                continue
-            for j in range(k):
-                u[j, :, :n] = xf[:, off + a + j:off + a + j + n]
-            u[:, :, n:] = 0
-            yield a, n, u2
-    return tiles()
+    a = i * _TILE
+    n = min(_TILE, cols - a)
+    if k == 1 and n == _TILE:
+        return a, n, xf[:, off + a:off + a + n]
+    if u is None:
+        u = np.empty((k, xf.shape[0], _TILE), xf.dtype)
+    for j in range(k):
+        u[j, :, :n] = xf[:, off + a + j:off + a + j + n]
+    u[:, :, n:] = 0
+    return a, n, u.reshape(-1, _TILE)
 
 
 def _correlate(xf: np.ndarray, p: int, w: np.ndarray, n_b: int, b=None,
-               rf=None, relu: bool = False, on_tile=None,
+               rf=None, relu: bool = False, mask=None, on_tile=None,
                into_rf: bool = False) -> np.ndarray:
     """'Same' correlation of a _padded buffer (Ci, B*(T+2p)) with (Co, Ci, k).
 
     Returns the (B, Co, T) interior view of a new buffer padded like xf, or
     with into_rf of rf's own buffer, which the result overwrites tile by
     tile.  Each tile's outputs get, in this order, the bias b, the residual
-    rf (a buffer laid out like the output) and the ReLU while they are in
-    cache.
+    rf (a buffer laid out like the output), and then the ReLU, or the product
+    with (mask > 0) for a buffer mask laid out like the output, while they
+    are in cache.
 
     Every GEMM has the one shape (Co, k*Ci) @ (k*Ci, _TILE), so BLAS picks
     the same kernel for every column and a column's value does not depend on
-    the batch or the window around it.  Window start p - pad + s gives the
-    output at buffer column p + s; columns whose window runs into the next
-    sequence land on pad columns and are zeroed after the last tile.
-    on_tile(u), when given, sees each tile's full-width unfold.
+    the batch, the window around it or the thread that computes it.  Window
+    start p - pad + s gives the output at buffer column p + s; columns whose
+    window runs into the next sequence land on pad columns and are zeroed
+    after the last tile.  The tiles run through _run_threads, each with its
+    own unfold, GEMM and epilogue; on_tile(i, u), when given, sees tile i's
+    full-width unfold on the thread that made it.
     """
     co, ci, k = w.shape
     width = xf.shape[1]
     cols = width - 2 * p
+    off = p - (k - 1) // 2
     w2 = w.transpose(0, 2, 1).reshape(co, k * ci)  # tap-major, like u's rows
-    # The unfold buffer comes first: freed below y, its pages serve the next
-    # conv's unfold instead of being faulted in again, as glibc returns a
-    # free top of the heap to the OS.  That halved a training step's faults.
-    tiles = _unfold_tiles(xf, p - (k - 1) // 2, k, cols)
+    n_tiles = -(-cols // _TILE)
+    n_threads = _blas_threads(n_tiles, _TILES_PER_THREAD)
+    # Each thread's unfold buffer comes first: freed below y, their pages
+    # serve the next conv's unfolds instead of being faulted in again, as
+    # glibc returns a free top of the heap to the OS.  That halved a training
+    # step's faults.
+    units = [np.empty((k, ci, _TILE), xf.dtype) for _ in range(n_threads)]
     if into_rf:
         y = rf.reshape(co, n_b, -1)
     else:  # 3-D, as _padded recognises a buffer by its base's shape
         y = np.empty((co, n_b, width // n_b), np.result_type(xf, w))
     yf = y.reshape(co, width)
-    scratch = None
-    for a, n, u in tiles:
+    scratch = [None] * n_threads
+
+    def tile(slot, i):
+        a, n, u = _unfold(xf, off, k, cols, i, units[slot])
         # A tile that is short, or whose outputs overwrite its residual, runs
-        # its GEMM into scratch, so every GEMM keeps its shape and y keeps
-        # the input's width: rounded up to whole tiles, its row stride could
-        # be a power of two, and cache-set conflicts then slowed the passes
-        # over it about 2x.
+        # its GEMM into its thread's scratch, so every GEMM keeps its shape
+        # and y keeps the input's width: rounded up to whole tiles, its row
+        # stride could be a power of two, and cache-set conflicts then slowed
+        # the passes over it about 2x.
         out = yf[:, p + a:p + a + n]
         direct = n == _TILE and not into_rf
-        if not direct and scratch is None:
-            scratch = np.empty((co, _TILE), y.dtype)
-        y_tile = out if direct else scratch
+        if not direct and scratch[slot] is None:
+            scratch[slot] = np.empty((co, _TILE), y.dtype)
+        y_tile = out if direct else scratch[slot]
         np.matmul(w2, u, out=y_tile)
         y_tile = y_tile[:, :n]
         if b is not None:
@@ -223,8 +230,12 @@ def _correlate(xf: np.ndarray, p: int, w: np.ndarray, n_b: int, b=None,
             out[:] = y_tile
         if relu:
             np.maximum(out, 0, out=out)
+        if mask is not None:
+            np.multiply(out, mask[:, p + a:p + a + n] > 0, out=out)
         if on_tile is not None:
-            on_tile(u)
+            on_tile(i, u)
+
+    _run_threads(n_threads, n_tiles, tile)
     y[:, :, :p] = 0
     y[:, :, y.shape[2] - p:] = 0
     return _interior(y, p)
@@ -245,10 +256,22 @@ def conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray, *, residual=None,
     return _correlate(xf, p, w, len(x), b, rf, relu, into_rf=inplace)
 
 
+def _tile_sum(products: np.ndarray) -> np.ndarray:
+    """The per-tile products summed from zero in tile order, so the bits do
+    not depend on which thread made which product."""
+    total = np.zeros(products.shape[1:], products.dtype)
+    for prod in products:
+        total += prod
+    return total
+
+
 def conv1d_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray, *,
-                    input_grad: bool = True):
+                    input_grad: bool = True, residual=None,
+                    relu_input: bool = False):
     """Gradients (dw, db, dx) of conv1d for upstream grad gy (B, Co, T);
-    dx is None unless input_grad.
+    dx is None unless input_grad.  dx gets residual (B, Ci, T) added, and
+    with relu_input, where x is a ReLU's output, is taken on through that
+    ReLU: (dx + residual) * (x > 0), each tile while it is in cache.
 
     dx correlates gy with the kernel transposed and flipped in time (for odd
     k again 'same').  That unfolds gy: row (k-1-j, o) of a tile holds
@@ -256,40 +279,49 @@ def conv1d_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray, *,
     gives dw[o, :, j] = sum_s gy[o, s + pad - j] x[:, s], tile by tile.
     Without dx, dw instead comes from gy's columns times an unfold of x,
     which has k*Ci rows rather than k*Co.  Those columns of x or gy are
-    _unfold_tiles' k=1 tiles, at full _TILE width, so every dw GEMM has one
+    _unfold's k=1 tiles, at full _TILE width, so every dw GEMM has one
     shape, as every _correlate GEMM does, and its bits do not depend on the
-    BLAS threads.
+    BLAS threads.  Each tile's dw product has its own slot, and the slots
+    are summed in tile order, whichever thread ran each tile.
     """
     co, ci, k = w.shape
     pad = (k - 1) // 2
     xf, p = _padded(x, pad)
     gf, _ = _padded(gy, p, exact=True)  # laid out like xf, column for column
     cols = xf.shape[1] - 2 * p
+    n_tiles = -(-cols // _TILE)
     dtype = np.result_type(gy, x)
     if input_grad:
-        x_tiles = _unfold_tiles(xf, p, 1, cols)  # x at each dx column
-        dw_rows = np.zeros((k * co, ci), dtype)  # row (k-1-j, o)
+        dw_tiles = np.empty((n_tiles, k * co, ci), dtype)  # row (k-1-j, o)
 
-        def add_dw(u):
-            dw_rows[:] += u @ next(x_tiles)[2].T
+        def dw_tile(i, u):  # x at each dx column
+            np.matmul(u, _unfold(xf, p, 1, cols, i)[2].T, out=dw_tiles[i])
 
-        dx = _correlate(gf, p, w.transpose(1, 0, 2)[:, :, ::-1], len(gy),
-                        on_tile=add_dw)
-        dw = dw_rows.reshape(k, co, ci)[::-1].transpose(1, 2, 0)
+        rf = None if residual is None else _padded(residual, p, exact=True)[0]
+        dx = _correlate(gf, p, w.transpose(1, 0, 2)[:, :, ::-1], len(gy), rf=rf,
+                        mask=xf if relu_input else None, on_tile=dw_tile)
+        dw = _tile_sum(dw_tiles).reshape(k, co, ci)[::-1].transpose(1, 2, 0)
     else:
-        dw_rows = np.zeros((co, k * ci), dtype)  # column (j, i)
-        for (_, _, g), (_, _, u) in zip(_unfold_tiles(gf, p, 1, cols),
-                                        _unfold_tiles(xf, p - pad, k, cols)):
-            dw_rows += g @ u.T
-        dw, dx = dw_rows.reshape(co, k, ci).transpose(0, 2, 1), None
+        n_threads = _blas_threads(n_tiles, _TILES_PER_THREAD)
+        units = [np.empty((k, ci, _TILE), xf.dtype) for _ in range(n_threads)]
+        dw_tiles = np.empty((n_tiles, co, k * ci), dtype)  # column (j, i)
+
+        def dw_tile(slot, i):
+            u = _unfold(xf, p - pad, k, cols, i, units[slot])[2]
+            np.matmul(_unfold(gf, p, 1, cols, i)[2], u.T, out=dw_tiles[i])
+
+        _run_threads(n_threads, n_tiles, dw_tile)
+        dw, dx = _tile_sum(dw_tiles).reshape(co, k, ci).transpose(0, 2, 1), None
     return np.ascontiguousarray(dw), gy.sum(axis=(0, 2)), dx
 
 
 @dataclass
 class ForwardCache:
     # Activations are interior views of zero-padded channel-major buffers.
-    # z0, z1s and s_pres are the ReLU outputs backward() takes its masks from
-    # (z > 0 equals relu(z) > 0), so they share hs and rs rather than copy.
+    # z0, z1s and s_pres are the ReLU outputs whose masks backward() applies
+    # (z > 0 equals relu(z) > 0).  Each is the input of the conv whose dx it
+    # masks, so they share hs and rs rather than copy, and backward() reads
+    # them there.
     x: np.ndarray          # (B, K)
     z0: np.ndarray         # mask source of the input conv: hs[0]
     hs: list[np.ndarray]   # h0..hM
@@ -354,13 +386,6 @@ def forward(x, p: SpikeNetParams, cfg: SpikeNetConfig, mode: str = "hard"):
     return (out[0] if squeeze else out), cache
 
 
-def _masked(g: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """g * (a > 0) in place, on the padded buffers behind two interior views
-    of one layout; g's pad columns stay zero."""
-    np.multiply(g.base, a.base > 0, out=g.base)
-    return g
-
-
 def backward(grad_spikes, cache: ForwardCache, p: SpikeNetParams,
              cfg: SpikeNetConfig, *, input_grad: bool = False):
     """Reverse-mode gradients; returns (param grads, input grad), the input
@@ -387,21 +412,23 @@ def backward(grad_spikes, cache: ForwardCache, p: SpikeNetParams,
         dlogits[:, t] = gvp
         carry = decay * gvp
 
-    dw_head, db_head, dh = conv1d_backward(dlogits[:, None, :], cache.hs[-1], p.w_head)
+    # each dx leaves its conv through the ReLU that made the conv's input,
+    # so it is masked by that input; the inner conv's dx also adds the
+    # residual skip's gradient ds first
+    dw_head, db_head, ds = conv1d_backward(dlogits[:, None, :], cache.hs[-1],
+                                           p.w_head, relu_input=True)
 
     grad_blocks = []
     for i in range(len(p.blocks) - 1, -1, -1):
         blk = p.blocks[i]
-        ds = _masked(dh, cache.s_pres[i])
-        dw2, db2, dr = conv1d_backward(ds, cache.rs[i], blk.w2)
-        dw1, db1, dh = conv1d_backward(_masked(dr, cache.z1s[i]), cache.hs[i],
-                                       blk.w1)
-        np.add(dh.base, ds.base, out=dh.base)  # residual skip + conv path
+        dw2, db2, dr = conv1d_backward(ds, cache.rs[i], blk.w2, relu_input=True)
+        dw1, db1, ds = conv1d_backward(dr, cache.hs[i], blk.w1, residual=ds,
+                                       relu_input=True)
         grad_blocks.append(BlockParams(dw1, db1, dw2, db2))
     grad_blocks.reverse()
 
-    dw_in, db_in, dx = conv1d_backward(_masked(dh, cache.z0), cache.x[:, None, :],
-                                       p.w_in, input_grad=input_grad)
+    dw_in, db_in, dx = conv1d_backward(ds, cache.x[:, None, :], p.w_in,
+                                       input_grad=input_grad)
     grads = SpikeNetParams(dw_in, db_in, grad_blocks, dw_head, db_head)
     if dx is not None:
         dx = dx[0, 0] if squeeze else dx[:, 0]
@@ -450,6 +477,79 @@ def _openblas():
     return None
 
 
+def _blas_threads(n_items: int, floor: int) -> int:
+    """The thread count for n_items work items in _run_threads: OpenBLAS's
+    thread count (1 without OpenBLAS), capped so that each thread gets at
+    least floor items.
+
+    Below its floor a helper thread measured slower or larger than the
+    caller alone.  infer_stream's blocks take floor 2: on smaller clips a
+    helper ran slower and its allocations raised the process's peak.  A
+    conv's tiles take _TILES_PER_THREAD = 4, so on 2 threads a conv splits
+    from 8 tiles.  On 2 vCPUs a one-step training run at 5 tiles per conv
+    ran 20% slower and 5 MB larger split, and at 6 to 11 tiles no faster
+    and 5-10 MB larger; in a training loop a 32->32 conv's forward and
+    backward ran 10-25% faster split from 8 tiles up, and the desk training
+    epoch (17 tiles per conv) 15% faster.
+    """
+    blas = _openblas()
+    return max(1, min(blas[0]() if blas else 1, n_items // floor))
+
+
+def _run_threads(n_threads: int, n_items: int, work) -> None:
+    """Run work(slot, i) for each i in range(n_items) on n_threads threads:
+    the caller as slot 0 and n_threads - 1 helpers, each taking the next
+    item until none is left or one has failed.
+
+    While they run, BLAS is set to one thread, one per item, and its count
+    is restored afterwards.  The first error is raised in the caller with
+    its own type, and no helper outlives the call.  slot lets an item use
+    its thread's own buffers.
+    """
+    if n_threads == 1:
+        for i in range(n_items):
+            work(0, i)
+        return
+    items = iter(range(n_items))  # shared by the threads, each item taken once
+    taking, errors = threading.Lock(), []
+
+    def run(slot):
+        try:
+            while not errors:
+                with taking:
+                    i = next(items, None)
+                if i is None:
+                    return
+                work(slot, i)
+        except BaseException as exc:
+            errors.append(exc)
+
+    get, set_ = _openblas()
+    blas_threads = get()
+    set_(1)
+    helpers = []
+    try:
+        for slot in range(1, n_threads):
+            helper = threading.Thread(target=run, args=(slot,))
+            helper.start()
+            helpers.append(helper)
+        run(0)
+    finally:
+        for helper in helpers:
+            helper.join()
+        set_(blas_threads)
+    if errors:
+        raise errors[0]
+
+
+def check_v0(v0_mode: str, seed: int) -> None:
+    """Raise ConfigError unless infer_stream takes v0_mode and seed."""
+    if v0_mode not in ("zero", "uniform"):
+        raise ConfigError("v0_mode must be 'zero' or 'uniform'")
+    if not 0 <= seed < 2**64:
+        raise ConfigError("seed must lie in [0, 2**64)")
+
+
 def infer_stream(x: LogDiffSeq, p: SpikeNetParams, cfg: SpikeNetConfig,
                  v0_mode: str = "zero", seed: int = 0,
                  chunk: int = 256) -> SpikeTrain:
@@ -460,19 +560,11 @@ def infer_stream(x: LogDiffSeq, p: SpikeNetParams, cfg: SpikeNetConfig,
     may split a row) and whichever thread runs it; memory per pixel stays
     O(chunk + receptive field).  The membrane carries across chunks.
 
-    The blocks run on T threads, the caller and T - 1 helpers, each taking
-    the next block until none is left.  T is OpenBLAS's thread count, capped
-    so that each thread gets at least two blocks: on smaller clips a helper
-    measured slower and larger than the caller alone.  While the blocks
-    run, BLAS is set to one thread, one per block, and its count is
-    restored afterwards.
+    The blocks run through _run_threads, on OpenBLAS's thread count capped
+    at two blocks per thread (_blas_threads).  Inside them BLAS reads one
+    thread, so each block's convs run their tiles on its own thread.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
-    if v0_mode not in ("zero", "uniform"):
-        raise ConfigError("v0_mode must be 'zero' or 'uniform'")
-    if not 0 <= seed < 2**64:
-        raise ConfigError("seed must lie in [0, 2**64)")
+    check_v0(v0_mode, seed)
     k, h, w = x.data.shape
     pix = x.data.reshape(k, h * w).T  # (H*W, K), a view: _padded copies each block
     if v0_mode == "zero":
@@ -482,37 +574,13 @@ def infer_stream(x: LogDiffSeq, p: SpikeNetParams, cfg: SpikeNetConfig,
         v0 = (2.0 * u - 1.0) * cfg.lif.v_th
 
     out = np.empty((h * w, k), dtype=np.int8)
-    starts = range(0, h * w, _BLOCK)
-    blocks = iter(starts)  # shared by the threads, each block taken once
-    taking, failed = threading.Lock(), threading.Event()
+    n_blocks = -(-h * w // _BLOCK)
 
-    def run_blocks():
-        try:
-            while not failed.is_set():
-                with taking:
-                    a = next(blocks, None)
-                if a is None:
-                    return
-                b = a + _BLOCK
-                _infer_rows(pix[a:b], p, cfg, v0[a:b], chunk, out[a:b])
-        except BaseException:
-            failed.set()
-            raise
+    def block(_, i):
+        a, b = i * _BLOCK, (i + 1) * _BLOCK
+        _infer_rows(pix[a:b], p, cfg, v0[a:b], chunk, out[a:b])
 
-    blas = _openblas()
-    blas_threads = blas[0]() if blas else 1
-    n_threads = max(1, min(blas_threads, len(starts) // 2))
-    try:
-        if n_threads > 1:
-            blas[1](1)
-        with ThreadPoolExecutor(max(1, n_threads - 1)) as pool:
-            helpers = [pool.submit(run_blocks) for _ in range(n_threads - 1)]
-            run_blocks()
-        for f in helpers:
-            f.result()
-    finally:
-        if n_threads > 1:
-            blas[1](blas_threads)
+    _run_threads(_blas_threads(n_blocks, 2), n_blocks, block)
     return SpikeTrain(x.width, x.height, x.fps, out.reshape(h, w, k).transpose(2, 0, 1))
 
 

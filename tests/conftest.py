@@ -65,3 +65,27 @@ def traced_peak(fn, *args):
     finally:
         if not tracing:
             tracemalloc.stop()
+
+
+class FakeBlas:
+    """Stands in for OpenBLAS's (get, set) thread count, starting at n."""
+
+    def __init__(self, n):
+        self.n, self.calls = n, []
+
+    def get(self):
+        return self.n
+
+    def set(self, n):
+        self.calls.append(n)
+        self.n = n
+
+
+def fake_blas(monkeypatch, n):
+    """Make spikenet see a FakeBlas(n) as OpenBLAS, or no OpenBLAS for n None;
+    returns the FakeBlas (None for n None)."""
+    from evsynth import spikenet
+
+    blas = n and FakeBlas(n)
+    monkeypatch.setattr(spikenet, "_openblas", lambda: blas and (blas.get, blas.set))
+    return blas

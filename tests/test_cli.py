@@ -354,6 +354,35 @@ def test_train_lambda_checked_before_the_dataset(tmp_path, capsys, monkeypatch):
     assert len(lines) == 1 and lines[0].startswith("evsynth: ")
 
 
+@pytest.mark.parametrize("bad", [["--lambda", "-1"], ["--set", "train.lambda=-1"]],
+                         ids=["flag", "set"])
+def test_train_lambda_error_names_the_key(tmp_path, capsys, bad):
+    assert run("train", "--out", str(tmp_path / "r"), *bad) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("evsynth: lambda")
+    assert "count_weight" not in lines[0]
+
+
+@pytest.mark.parametrize("command,bad", [
+    ("simulate", ["--theta", "-1"]), ("infer", ["--set", "net.v0_mode=bogus"]),
+], ids=["simulate", "infer"])
+def test_config_checked_before_the_clip_is_read(tmp_path, capsys, monkeypatch,
+                                                command, bad):
+    ckpt = tmp_path / "m.evsn"
+    cfg = SpikeNetConfig(channels=4, kernel=3, depth=1)
+    spikenet.save_checkpoint(ckpt, init_params(cfg, 0), cfg)
+    clip = _gen_moving(tmp_path)
+
+    def no_clip(*args, **kwargs):
+        raise AssertionError("read_fseq ran before the config was checked")
+
+    monkeypatch.setattr(formats, "read_fseq", no_clip)
+    inputs = [str(clip)] + ([str(ckpt)] if command == "infer" else [])
+    assert run(command, *inputs, "--out", str(tmp_path / "o.evt1"), *bad) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("evsynth: "), lines
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_diverging_train_writes_no_checkpoint(tmp_path, capsys):
     out = tmp_path / "r"

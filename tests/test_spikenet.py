@@ -17,7 +17,7 @@ from evsynth.spikenet import (_BLOCK, _TILE, BlockParams, SpikeNetConfig,
                               conv1d_backward, forward, infer_stream, init_params,
                               load_checkpoint, receptive_field, save_checkpoint)
 
-from conftest import run_cli, traced_peak
+from conftest import FakeBlas, fake_blas, run_cli, traced_peak
 
 
 def small_cfg(**kw):
@@ -367,26 +367,11 @@ def test_conv_stack_without_record_equals_the_recorded_logits(monkeypatch, k,
     assert np.array_equal(_conv_stack(x, params), cache.logits)
 
 
-class FakeBlas:
-    """Stands in for OpenBLAS's (get, set) thread count, starting at n."""
-
-    def __init__(self, n):
-        self.n, self.calls = n, []
-
-    def get(self):
-        return self.n
-
-    def set(self, n):
-        self.calls.append(n)
-        self.n = n
-
-
 def test_infer_peak_is_two_padded_buffers_per_block(monkeypatch):
     # per thread, h and r of one _BLOCK-pixel block and one unfold; besides,
     # the int8 output, a quarter of the input's size: the blocks are read
     # from the input itself, with no pixel-major copy
-    blas = FakeBlas(2)
-    monkeypatch.setattr(spikenet, "_openblas", lambda: (blas.get, blas.set))
+    fake_blas(monkeypatch, 2)
     cfg = SpikeNetConfig()
     x = log_diff_sequence(gen_scene(SceneSpec("mixed", 64, 64, 1000.0, 0.251, seed=2)))
     pad = (cfg.kernel - 1) // 2
@@ -396,11 +381,10 @@ def test_infer_peak_is_two_padded_buffers_per_block(monkeypatch):
     assert peak < 2 * (2 * buf + unfold) + 1.5 * x.data.nbytes
 
 
-def _block_threads(monkeypatch, blas, threads):
-    """Run infer_stream's blocks under blas, checking that each of threads
-    threads takes a block: each waits at its first until all have one.
-    Returns the list of the threads that ran each block."""
-    monkeypatch.setattr(spikenet, "_openblas", lambda: blas and (blas.get, blas.set))
+def _block_threads(monkeypatch, threads):
+    """Run infer_stream's blocks checking that each of threads threads takes
+    a block: each waits at its first until all have one.  Returns the list
+    of the threads that ran each block."""
     barrier = threading.Barrier(threads, timeout=30)
     ran_on = []
     rows = spikenet._infer_rows
@@ -420,9 +404,9 @@ def test_infer_blocks_match_forward_on_any_thread_count(monkeypatch, rng, thread
     # most of them splitting a row
     real = spikenet._openblas()
     real_before = real and real[0]()
-    blas = threads and FakeBlas(threads)
+    blas = fake_blas(monkeypatch, threads)
     monkeypatch.setattr(spikenet, "_BLOCK", 5)
-    ran_on = _block_threads(monkeypatch, blas, threads or 1)
+    ran_on = _block_threads(monkeypatch, threads or 1)
     cfg = SpikeNetConfig(channels=8, kernel=3, depth=1)
     params = noisy_params(cfg, 9, dtype=np.float32)
     seq = LogDiffSeq(9, 7, 1000.0, rng.normal(0, 0.8, (40, 7, 9)).astype(np.float32))
@@ -447,8 +431,8 @@ def test_infer_blocks_match_forward_on_any_thread_count(monkeypatch, rng, thread
 def test_infer_uses_at_most_half_the_block_count_in_threads(monkeypatch, rng):
     # 3 blocks: a second thread would have one block, so the caller runs all
     monkeypatch.setattr(spikenet, "_BLOCK", 5)
-    blas = FakeBlas(4)
-    ran_on = _block_threads(monkeypatch, blas, 1)
+    blas = fake_blas(monkeypatch, 4)
+    ran_on = _block_threads(monkeypatch, 1)
     cfg = SpikeNetConfig(channels=4, kernel=3, depth=1)
     seq = LogDiffSeq(5, 3, 1000.0, rng.normal(0, 0.8, (12, 3, 5)).astype(np.float32))
     infer_stream(seq, init_params(cfg, 0), cfg)
@@ -508,6 +492,156 @@ def test_infer_output_independent_of_blas_threads(tmp_path):
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
     assert len(read_evt1(tmp_path / "t1.evt1")) > 0
+
+
+# _TILE for the tile-thread tests: 15 sequences of 50 ticks, padded by 3 on
+# each side, make 840 columns, 13 full tiles and a ragged 14th
+_THREAD_TILE = 64
+
+
+@pytest.fixture
+def real_blas_at_2():
+    """The real OpenBLAS's (get, set), at 2 threads for the test."""
+    get, set_ = spikenet._openblas() or pytest.skip("numpy's BLAS is not OpenBLAS")
+    old = get()
+    set_(2)
+    yield get, set_
+    set_(old)
+
+
+def _every_thread_works(monkeypatch):
+    """Make every thread of each _run_threads call take an item: each waits
+    at its first until all have one.  Returns one (n_threads, slots that took
+    an item) per call."""
+    run = spikenet._run_threads
+    calls = []
+
+    def first_waits(n_threads, n_items, work):
+        barrier = threading.Barrier(n_threads, timeout=30)
+        slots = set()
+
+        def item(slot, i):
+            if slot not in slots:
+                slots.add(slot)
+                barrier.wait()
+            work(slot, i)
+        calls.append((n_threads, slots))
+        run(n_threads, n_items, item)
+    monkeypatch.setattr(spikenet, "_run_threads", first_waits)
+    return calls
+
+
+def _net_step(x, g, params, cfg, input_grad):
+    """Soft forward and backward: every array either returns."""
+    spikes, cache = forward(x, params, cfg, mode="soft")
+    grads, dx = backward(g, cache, params, cfg, input_grad=input_grad)
+    return [spikes, cache.logits, *grads.tensors()] + ([dx] if input_grad else [])
+
+
+@pytest.mark.parametrize("input_grad", [True, False], ids=["dx", "no_dx"])
+@pytest.mark.parametrize("threads", [1, 2, 3, "openblas"])
+def test_conv_tiles_on_threads_match_the_serial_run(monkeypatch, request,
+                                                    threads, input_grad):
+    # the k=7 input conv, k=7 residual convs and the k=1 head, forward and
+    # backward, over 14 tiles with a ragged last one: above the floor for 3
+    # threads
+    monkeypatch.setattr(spikenet, "_TILE", _THREAD_TILE)
+    cfg = SpikeNetConfig(channels=8, kernel=7, depth=2)
+    params = noisy_params(cfg, 3, dtype=np.float32)
+    gen = np.random.default_rng(8)
+    x = gen.normal(0, 0.8, (15, 50)).astype(np.float32)
+    g = gen.normal(0, 1, (15, 50)).astype(np.float32)
+    assert 14 // spikenet._TILES_PER_THREAD >= 3
+    fake_blas(monkeypatch, 1)
+    serial = _net_step(x, g, params, cfg, input_grad)
+
+    if threads == "openblas":
+        get, set_ = request.getfixturevalue("real_blas_at_2")
+        monkeypatch.setattr(spikenet, "_openblas", lambda: (get, set_))
+        n = 2
+    else:
+        get = fake_blas(monkeypatch, threads).get
+        n = threads
+    calls = _every_thread_works(monkeypatch)
+    active = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # so the threads interleave as often as they can
+    try:
+        threaded = _net_step(x, g, params, cfg, input_grad)
+    finally:
+        sys.setswitchinterval(interval)
+    for got, want in zip(threaded, serial, strict=True):
+        assert got.tobytes() == want.tobytes()
+    assert len(calls) == 2 * (2 + 2 * cfg.depth)  # every conv, forward and backward
+    assert all(n_threads == n and len(slots) == n for n_threads, slots in calls)
+    assert threading.active_count() == active
+    assert get() == n
+
+
+def test_conv_error_in_a_helper_tile_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(spikenet, "_TILE", _THREAD_TILE)
+    blas = fake_blas(monkeypatch, 2)
+    unfold = spikenet._unfold
+    helper_began = threading.Event()
+    taken = []
+
+    def helper_fails(*args):
+        taken.append(args)
+        if threading.current_thread() is threading.main_thread():
+            helper_began.wait(30)  # so the helper takes a tile ...
+            time.sleep(0.2)  # ... and has failed before this one ends
+            return unfold(*args)
+        helper_began.set()
+        raise KeyError("helper tile")
+    monkeypatch.setattr(spikenet, "_unfold", helper_fails)
+    x = np.random.default_rng(2).normal(size=(15, 4, 50)).astype(np.float32)
+    w = np.ones((4, 4, 3), np.float32)
+    active = threading.active_count()
+    with pytest.raises(KeyError, match="helper tile"):
+        conv1d(x, w, np.zeros(4, np.float32))
+    assert len(taken) <= 2  # of 14: no tile is taken after the failure
+    assert threading.active_count() == active
+    assert blas.n == 2 and blas.calls == [1, 2]
+
+
+def test_conv_under_the_tile_floor_runs_on_the_caller(monkeypatch):
+    # 7 sequences of 50 ticks, padded by 1: 364 columns, 6 tiles, fewer than
+    # two threads' floor
+    monkeypatch.setattr(spikenet, "_TILE", _THREAD_TILE)
+    blas = fake_blas(monkeypatch, 2)
+    ran_on = set()
+    unfold = spikenet._unfold
+
+    def record(*args):
+        ran_on.add(threading.get_ident())
+        return unfold(*args)
+    monkeypatch.setattr(spikenet, "_unfold", record)
+    gen = np.random.default_rng(5)
+    x = gen.normal(size=(7, 4, 50)).astype(np.float32)
+    w = gen.normal(size=(4, 4, 3)).astype(np.float32)
+    assert -(-7 * 52 // _THREAD_TILE) < 2 * spikenet._TILES_PER_THREAD
+    y = conv1d(x, w, np.zeros(4, np.float32), relu=True)
+    conv1d_backward(y, x, w, relu_input=True)
+    conv1d_backward(y, x, w, input_grad=False)
+    assert ran_on == {threading.get_ident()} and blas.calls == []
+
+
+def test_conv_backward_folds_residual_and_relu_mask_into_dx(monkeypatch):
+    # (dx + residual) * (x > 0), as backward applied them in whole-buffer
+    # passes after each dx
+    monkeypatch.setattr(spikenet, "_TILE", 5)
+    gen = np.random.default_rng(6)
+    x = conv1d(gen.normal(size=(3, 4, 11)).astype(np.float32),
+               gen.normal(size=(4, 4, 3)).astype(np.float32),
+               np.zeros(4, np.float32), relu=True)
+    w = gen.normal(size=(5, 4, 3)).astype(np.float32)
+    gy = gen.normal(size=(3, 5, 11)).astype(np.float32)
+    res = gen.normal(size=(3, 4, 11)).astype(np.float32)
+    dw, db, dx = conv1d_backward(gy, x, w)
+    got = conv1d_backward(gy, x, w, residual=res, relu_input=True)
+    assert np.array_equal(got[0], dw) and np.array_equal(got[1], db)
+    assert got[2].tobytes() == ((dx + res) * (x > 0)).tobytes()
+    assert (x == 0).any() and (x > 0).any()
 
 
 def test_streaming_uniform_init_mode(rng):

@@ -243,3 +243,23 @@ def test_train_output_independent_of_blas_threads(tmp_path):
                 "--set", "scene.duration=0.1", "--set", "train.batch=128")
         outs.append((out / "model.evsn").read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_train_output_with_conv_tile_threads_independent_of_blas_threads(tmp_path):
+    # 128-sequence batches of 299 ticks span twice the tile floor in tiles,
+    # so at 2 BLAS threads each conv runs its tiles on two threads; the last
+    # batch, of 51 sequences, runs on one
+    from evsynth import spikenet
+
+    k, pad = 299, (SpikeNetConfig().kernel - 1) // 2
+    tiles = -(-128 * (k + 2 * pad) // spikenet._TILE)
+    assert tiles >= 2 * spikenet._TILES_PER_THREAD
+    outs = []
+    for threads in (1, 2):
+        out = tmp_path / f"t{threads}"
+        run_cli(threads, "train", "--out", out, "--epochs", "1",
+                "--set", "scene.width=16", "--set", "scene.height=16",
+                "--set", "scene.duration=0.3", "--set", "train.batch=128")
+        outs.append([(out / name).read_bytes()
+                     for name in ("model.evsn", "epoch_001.evsn", "history.csv")])
+    assert outs[0] == outs[1]
