@@ -225,8 +225,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", help="plain-text section.key = value file")
         p.add_argument("--seed", type=int, help="override all random seeds")
         p.add_argument("--workers", type=int, default=1,
-                       help="accepted and ignored; infer takes its thread "
-                            "count from OpenBLAS")
+                       help="accepted and ignored; infer and train take "
+                            "their thread count from OpenBLAS")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a single config key")
         p.add_argument("--out", required=True, help="output path")

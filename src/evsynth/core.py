@@ -22,6 +22,7 @@ from .errors import CollisionError, ConfigError, RangeError
 
 US_PER_S = 1_000_000
 F32_MAX = float(np.finfo(np.float32).max)
+_BLOCK_VALUES = 2**18  # float64 values per frame block (at least one frame)
 
 # matches the EVT1 record layout byte for byte (packed, little-endian)
 EVENT_DTYPE = np.dtype([("t", "<u4"), ("x", "<u2"), ("y", "<u2"), ("p", "i1")])
@@ -49,6 +50,16 @@ def us_to_tick(t, fps: float) -> np.ndarray:
     inverts tick_to_us, which rounds by <= 0.5 us when ticks last >= 1 us."""
     check_fps(fps)
     return np.floor(np.asarray(t, dtype=np.float64) * fps / US_PER_S + 0.5).astype(np.int64)
+
+
+def frame_blocks(n: int, frame_values: int, start: int = 0):
+    """Blocks (a, b) of whole frames that cover frames start..n-1 once and in
+    order, each of at most _BLOCK_VALUES values at frame_values per frame,
+    or of one frame when a frame holds more: every clip-sized pass holds one
+    such block of temporaries at a time."""
+    step = max(1, _BLOCK_VALUES // frame_values)
+    for a in range(start, n, step):
+        yield a, min(a + step, n)
 
 
 def time_bins(t, bin_fps: float) -> tuple[np.ndarray, int]:

@@ -12,15 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FrameSeq, LogDiffSeq
+from .core import FrameSeq, LogDiffSeq, frame_blocks
 from .errors import ConfigError
 
 LUMA_R, LUMA_G, LUMA_B = 0.2126, 0.7152, 0.0722
 _COEFFS = np.array([LUMA_R, LUMA_G, LUMA_B], dtype=np.float64)
-_BLOCK = 2**16  # pixels per log_diff_sequence block (at least one frame)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LuminanceConfig:
     rho_log: float = 0.02  # knee of the lin-log map, in luminance units
 
@@ -50,17 +49,15 @@ def log_diff_sequence(f: FrameSeq, cfg: LuminanceConfig = LuminanceConfig()) -> 
     """Per pixel, X_k = linlog(luma(frame_k)) - linlog(luma(frame_{k-1})).
 
     The lin-log frames are float64 and each difference is rounded to float32
-    once.  They are made in blocks of whole frames, _BLOCK pixels or one
-    frame, and only one block's are kept, plus the frame before it.
+    once.  They are made in core.frame_blocks (four float64 values per pixel:
+    the RGB copy and its luma), one block plus the frame before it at a time.
     """
     n, h, w, _ = f.frames.shape
-    step = max(1, _BLOCK // (h * w))
     diffs = np.empty((n - 1, h, w), np.float32)
-    llog = np.empty((step + 1, h, w))  # llog[0]: the frame before the block
-    llog[0] = lin_log(luma(f.frames[0]), cfg)
-    for a in range(1, n, step):
-        m = min(step, n - a)
-        llog[1:m + 1] = lin_log(luma(f.frames[a:a + m]), cfg)
-        np.subtract(llog[1:m + 1], llog[:m], out=diffs[a - 1:a - 1 + m])
-        llog[0] = llog[m]
+    prev = lin_log(luma(f.frames[0]), cfg)
+    for a, b in frame_blocks(n, 4 * h * w, start=1):
+        cur = lin_log(luma(f.frames[a:b]), cfg)
+        np.subtract(cur[0], prev, out=diffs[a - 1])
+        np.subtract(cur[1:], cur[:-1], out=diffs[a:b - 1])
+        prev = cur[-1]
     return LogDiffSeq(f.width, f.height, f.fps, diffs)

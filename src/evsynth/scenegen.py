@@ -13,13 +13,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import rng
-from .core import F32_MAX, FrameSeq, check_fps
+from .core import F32_MAX, FrameSeq, check_fps, frame_blocks
 from .errors import ConfigError
 
 KINDS = ("moving_edge", "grating", "flashing_light", "mixed")
 
 _SALT_NOISE = 11
-_NOISE_BLOCK = 2**18  # values per gen_scene or add_render_noise block (at least one frame)
 _U16_MAX = 65535
 
 
@@ -149,17 +148,16 @@ def _gray_frames(spec: SceneSpec, ks: np.ndarray) -> np.ndarray:
 
 def gen_scene(spec: SceneSpec) -> FrameSeq:
     """Render the scene analytically; deterministic in spec (incl. seed).
-    Blocks of whole frames, _NOISE_BLOCK gray values or one frame, go
-    straight into the float32 RGB output, so float64 is held a block at a time."""
+    Its core.frame_blocks, of one gray value per pixel, go straight into
+    the float32 RGB output, so float64 is held a block at a time."""
     n, h, w = spec.n_frames, spec.height, spec.width
-    step = max(1, _NOISE_BLOCK // (h * w))
     frames = np.empty((n, h, w, 3), np.float32)
-    for a in range(0, n, step):
+    for a, b in frame_blocks(n, h * w):
         with np.errstate(over="ignore", invalid="ignore"):
-            gray = _gray_frames(spec, np.arange(a, min(a + step, n), dtype=np.float64))
+            gray = _gray_frames(spec, np.arange(a, b, dtype=np.float64))
         if not np.isfinite(gray).all():
             raise ConfigError("scene motion overflows; lower velocity or spatial_freq")
-        frames[a:a + step] = gray[..., None]
+        frames[a:b] = gray[..., None]
     return FrameSeq(spec.width, spec.height, spec.fps, frames)
 
 
@@ -168,16 +166,14 @@ def add_render_noise(f: FrameSeq, m: NoiseModel) -> FrameSeq:
 
     Each noise value is a pure function of (seed, frame, y, x, channel), so
     frame- or row-partitioned generation is schedule independent.  It runs
-    in blocks of whole frames, _NOISE_BLOCK values or one frame, so its
-    temporaries stay one block's whatever the clip's length.
+    in core.frame_blocks, at three values per pixel, so its temporaries stay
+    one block's whatever the clip's length.
     """
     if m.gain == 0.0:
         return FrameSeq(f.width, f.height, f.fps, f.frames.copy())
     n, h, w, _ = f.frames.shape
-    step = max(1, _NOISE_BLOCK // (h * w * 3))
     out = np.empty_like(f.frames)
-    for a in range(0, n, step):
-        b = min(a + step, n)
+    for a, b in frame_blocks(n, 3 * h * w):
         z = rng.unit_normal(rng.hash_u64(m.seed, *np.ogrid[a:b, :h, :w, :3], _SALT_NOISE))
         with np.errstate(over="ignore", invalid="ignore"):
             noisy = np.maximum(f.frames[a:b].astype(np.float64) * (1.0 + m.sigma * z), 0.0)

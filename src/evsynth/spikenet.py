@@ -256,15 +256,6 @@ def conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray, *, residual=None,
     return _correlate(xf, p, w, len(x), b, rf, relu, into_rf=inplace)
 
 
-def _tile_sum(products: np.ndarray) -> np.ndarray:
-    """The per-tile products summed from zero in tile order, so the bits do
-    not depend on which thread made which product."""
-    total = np.zeros(products.shape[1:], products.dtype)
-    for prod in products:
-        total += prod
-    return total
-
-
 def conv1d_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray, *,
                     input_grad: bool = True, residual=None,
                     relu_input: bool = False):
@@ -282,7 +273,8 @@ def conv1d_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray, *,
     _unfold's k=1 tiles, at full _TILE width, so every dw GEMM has one
     shape, as every _correlate GEMM does, and its bits do not depend on the
     BLAS threads.  Each tile's dw product has its own slot, and the slots
-    are summed in tile order, whichever thread ran each tile.
+    are folded left in tile order, whichever thread ran each tile (a sum
+    over the slots' axis would pair them in an order numpy picks).
     """
     co, ci, k = w.shape
     pad = (k - 1) // 2
@@ -300,7 +292,7 @@ def conv1d_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray, *,
         rf = None if residual is None else _padded(residual, p, exact=True)[0]
         dx = _correlate(gf, p, w.transpose(1, 0, 2)[:, :, ::-1], len(gy), rf=rf,
                         mask=xf if relu_input else None, on_tile=dw_tile)
-        dw = _tile_sum(dw_tiles).reshape(k, co, ci)[::-1].transpose(1, 2, 0)
+        dw = functools.reduce(np.add, dw_tiles).reshape(k, co, ci)[::-1].transpose(1, 2, 0)
     else:
         n_threads = _blas_threads(n_tiles, _TILES_PER_THREAD)
         units = [np.empty((k, ci, _TILE), xf.dtype) for _ in range(n_threads)]
@@ -311,7 +303,7 @@ def conv1d_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray, *,
             np.matmul(_unfold(gf, p, 1, cols, i)[2], u.T, out=dw_tiles[i])
 
         _run_threads(n_threads, n_tiles, dw_tile)
-        dw, dx = _tile_sum(dw_tiles).reshape(co, k, ci).transpose(0, 2, 1), None
+        dw, dx = functools.reduce(np.add, dw_tiles).reshape(co, k, ci).transpose(0, 2, 1), None
     return np.ascontiguousarray(dw), gy.sum(axis=(0, 2)), dx
 
 

@@ -6,9 +6,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from evsynth.core import (F32_MAX, EventList, LogDiffSeq, SpikeTrain,
-                          dense_to_sparse, sparse_to_dense, tick_to_us,
-                          time_bins, us_to_tick, voxelize)
+from evsynth.core import (_BLOCK_VALUES, F32_MAX, EventList, LogDiffSeq,
+                          SpikeTrain, dense_to_sparse, frame_blocks,
+                          sparse_to_dense, tick_to_us, time_bins, us_to_tick,
+                          voxelize)
 from evsynth.errors import CollisionError, ConfigError, RangeError
 
 from conftest import random_event_list
@@ -105,6 +106,22 @@ def test_voxelize_conserves_counts(rng):
         grid = voxelize(ev, bin_fps)
         assert grid.unsigned.sum() == len(ev)
         assert abs(grid.signed).max() <= grid.unsigned.max()
+
+
+# (n, frame values, start): many frames per block with a short last one, a
+# block of exactly one frame, a 720p RGB frame larger than a block, a start
+# past the first frame, and nothing left to cover
+@pytest.mark.parametrize("n,frame_values,start", [
+    (50, 3 * 64 * 64, 0), (7, _BLOCK_VALUES, 0), (3, 4 * 720 * 1280, 1),
+    (251, 4 * 64 * 64, 1), (2, 1, 2)])
+def test_frame_blocks_cover_the_frames_once_in_order(n, frame_values, start):
+    blocks = list(frame_blocks(n, frame_values, start))
+    assert [f for a, b in blocks for f in range(a, b)] == list(range(start, n))
+    for a, b in blocks:
+        assert (b - a) * frame_values <= _BLOCK_VALUES or b - a == 1
+    # every block but the last holds as many whole frames as fit
+    step = max(1, _BLOCK_VALUES // frame_values)
+    assert all(b - a == step for a, b in blocks[:-1])
 
 
 @given(t=st.integers(0, 2**32 - 1),

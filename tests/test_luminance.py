@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from evsynth import luminance
+from evsynth import core
 from evsynth.core import FrameSeq
 from evsynth.luminance import LuminanceConfig, lin_log, log_diff_sequence, luma
 from evsynth.scenegen import SceneSpec, gen_scene
@@ -99,12 +100,19 @@ def test_rho_out_of_range_rejected():
         LuminanceConfig(1.5)
 
 
-# 8 frames of 2x3 pixels: blocks of 3, 3 and 1 frames after the first, and a
-# block smaller than one frame, which then steps by 1 frame
-@pytest.mark.parametrize("block", [18, 4, None], ids=["3-frames", "sub-frame", "default"])
+def test_config_is_frozen():
+    # the default instance is shared by lin_log, log_diff_sequence and
+    # make_dataset, so a field set on it would change every later call
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        LuminanceConfig().rho_log = 0.5
+
+
+# 8 frames of 2x3 pixels, 4 values per pixel: blocks of 3, 3 and 1 frames
+# after the first, and a block smaller than one frame, which then steps by 1
+@pytest.mark.parametrize("block", [72, 16, None], ids=["3-frames", "sub-frame", "default"])
 def test_blocked_log_diff_equals_the_whole_clip_diff(monkeypatch, rng, block):
     if block is not None:
-        monkeypatch.setattr(luminance, "_BLOCK", block)
+        monkeypatch.setattr(core, "_BLOCK_VALUES", block)
     frames = rng.uniform(0.0, 0.06, size=(8, 2, 3, 3))  # both sides of the knee
     frames[2, 0] = 0.0
     f = FrameSeq(3, 2, 1000.0, frames)
@@ -117,4 +125,4 @@ def test_log_diff_peak_is_its_output_plus_one_block():
     # a block's float64 RGB copy, luma and lin-log temporaries
     f = gen_scene(SceneSpec("mixed", 64, 64, 1000.0, 0.251, seed=2))
     x, peak = traced_peak(log_diff_sequence, f)
-    assert peak < x.data.nbytes + 8 * 8 * luminance._BLOCK
+    assert peak < x.data.nbytes + 8 * 8 * core._BLOCK_VALUES // 4

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from evsynth import rng, scenegen
+from evsynth import core, rng, scenegen
 from evsynth.core import FrameSeq
 from evsynth.errors import ConfigError
 from evsynth.scenegen import (NoiseModel, SceneSpec, add_render_noise,
@@ -131,7 +131,7 @@ def _noise_oracle(f, m):
 @pytest.mark.parametrize("block", [54, 10, None], ids=["3-frames", "sub-frame", "default"])
 def test_blocked_render_noise_equals_the_whole_clip_formula(monkeypatch, block):
     if block is not None:
-        monkeypatch.setattr(scenegen, "_NOISE_BLOCK", block)
+        monkeypatch.setattr(core, "_BLOCK_VALUES", block)
     gen = np.random.default_rng(4)
     f = FrameSeq(3, 2, 100.0, gen.uniform(0, 1, (7, 2, 3, 3)))
     m = NoiseModel(spp=4, gain=0.8, seed=6)
@@ -141,7 +141,7 @@ def test_blocked_render_noise_equals_the_whole_clip_formula(monkeypatch, block):
 
 @pytest.mark.parametrize("block", [54, 10], ids=["3-frames", "sub-frame"])
 def test_render_noise_overflow_in_the_last_block_raises(monkeypatch, block):
-    monkeypatch.setattr(scenegen, "_NOISE_BLOCK", block)
+    monkeypatch.setattr(core, "_BLOCK_VALUES", block)
     frames = np.ones((7, 2, 3, 3), np.float32)
     frames[-1] = 3e38
     f, m = FrameSeq(3, 2, 100.0, frames), NoiseModel(spp=1, gain=2.0, seed=1)
@@ -158,11 +158,11 @@ _CLIP = SceneSpec("mixed", 64, 64, 1000.0, 0.251, seed=2)
 def test_gen_scene_peak_is_bounded_by_its_output():
     # the output and one block's float64 gray frames, plus a mixed strip's
     f, peak = traced_peak(gen_scene, _CLIP)
-    assert peak < f.frames.nbytes + 4 * 8 * scenegen._NOISE_BLOCK
+    assert peak < f.frames.nbytes + 4 * 8 * core._BLOCK_VALUES
 
 
 def test_render_noise_peak_is_its_output_plus_one_block():
     # float64 temporaries of one block, a handful of 8-byte values each
     f = gen_scene(_CLIP)
     out, peak = traced_peak(add_render_noise, f, NoiseModel(seed=3))
-    assert peak < out.frames.nbytes + 12 * 8 * scenegen._NOISE_BLOCK
+    assert peak < out.frames.nbytes + 12 * 8 * core._BLOCK_VALUES

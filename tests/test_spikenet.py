@@ -116,6 +116,20 @@ def test_conv_backward_without_dx_gives_the_same_dw(monkeypatch, ci, k, tile):
     assert np.array_equal(db_only, db)
 
 
+@pytest.mark.parametrize("input_grad", [True, False], ids=["dx", "no-dx"])
+def test_conv_backward_folds_the_tile_dws_in_tile_order(monkeypatch, input_grad):
+    # a 1x1x1 kernel over 10 tiles of 5 columns; each tile's dw product is
+    # its first column's gy. In tile order each 1 that meets 2**53 rounds
+    # away, and the fold gives 2; numpy's pairwise sum over the tiles gives 4.
+    monkeypatch.setattr(spikenet, "_TILE", 5)
+    big = 2.0**53
+    products = [big, 1, -big, 1, big, 1, 1, -big, 1, 1]
+    x, gy = np.zeros((1, 1, 50)), np.zeros((1, 1, 50))
+    x[0, 0, ::5], gy[0, 0, ::5] = 1.0, products
+    dw, _, _ = conv1d_backward(gy, x, np.ones((1, 1, 1)), input_grad=input_grad)
+    assert dw.tolist() == [[[2.0]]]
+
+
 @pytest.mark.parametrize("tile", [None, _SMALL_TILE], ids=["default", "small"])
 @pytest.mark.parametrize("fill", ["zeros", "noise"])
 @pytest.mark.parametrize("k", [1, 3, 7])
