@@ -175,10 +175,10 @@ def _correlate(xf: np.ndarray, p: int, w: np.ndarray, n_b: int, b=None,
 
     Returns the (B, Co, T) interior view of a new buffer padded like xf, or
     with into_rf of rf's own buffer, which the result overwrites tile by
-    tile.  Each tile's outputs get, in this order, the bias b, the residual
-    rf (a buffer laid out like the output), and then the ReLU, or the product
-    with (mask > 0) for a buffer mask laid out like the output, while they
-    are in cache.
+    tile.  Each tile's GEMM writes its thread's (Co, _TILE) scratch, which
+    gets the bias b and the residual rf (a buffer laid out like the output);
+    the last step writes the output: the ReLU, or the product with (mask > 0)
+    for a buffer mask laid out like the output (never both), or a copy.
 
     Every GEMM has the one shape (Co, k*Ci) @ (k*Ci, _TILE), so BLAS picks
     the same kernel for every column and a column's value does not depend on
@@ -206,32 +206,25 @@ def _correlate(xf: np.ndarray, p: int, w: np.ndarray, n_b: int, b=None,
     else:  # 3-D, as _padded recognises a buffer by its base's shape
         y = np.empty((co, n_b, width // n_b), np.result_type(xf, w))
     yf = y.reshape(co, width)
+    # made on each thread's first tile: made up front, they slowed training
     scratch = [None] * n_threads
 
     def tile(slot, i):
         a, n, u = _unfold(xf, off, k, cols, i, units[slot])
-        # A tile that is short, or whose outputs overwrite its residual, runs
-        # its GEMM into its thread's scratch, so every GEMM keeps its shape
-        # and y keeps the input's width: rounded up to whole tiles, its row
-        # stride could be a power of two, and cache-set conflicts then slowed
-        # the passes over it about 2x.
-        out = yf[:, p + a:p + a + n]
-        direct = n == _TILE and not into_rf
-        if not direct and scratch[slot] is None:
+        if scratch[slot] is None:
             scratch[slot] = np.empty((co, _TILE), y.dtype)
-        y_tile = out if direct else scratch[slot]
-        np.matmul(w2, u, out=y_tile)
-        y_tile = y_tile[:, :n]
+        s = np.matmul(w2, u, out=scratch[slot])[:, :n]
         if b is not None:
-            y_tile += b[:, None]
+            s += b[:, None]
         if rf is not None:
-            np.add(y_tile, rf[:, p + a:p + a + n], out=out)
-        elif not direct:
-            out[:] = y_tile
+            s += rf[:, p + a:p + a + n]
+        out = yf[:, p + a:p + a + n]
         if relu:
-            np.maximum(out, 0, out=out)
-        if mask is not None:
-            np.multiply(out, mask[:, p + a:p + a + n] > 0, out=out)
+            np.maximum(s, 0, out=out)
+        elif mask is not None:
+            np.multiply(s, mask[:, p + a:p + a + n] > 0, out=out)
+        else:
+            out[:] = s
         if on_tile is not None:
             on_tile(i, u)
 
@@ -249,10 +242,13 @@ def conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray, *, residual=None,
     The result is the interior view of a zero-padded channel-major buffer,
     which a following conv1d or conv1d_backward reads without a copy.  With
     inplace that buffer is residual's (or its padded copy's), whose values
-    the result replaces.
+    the result replaces; it must not share memory with x's buffer, whose
+    columns later tiles still read.
     """
     xf, p = _padded(x, (w.shape[2] - 1) // 2)
     rf = None if residual is None else _padded(residual, p, exact=True)[0]
+    if inplace and (rf is None or np.may_share_memory(rf, xf)):
+        raise ValueError("inplace needs a residual whose buffer is not x's")
     return _correlate(xf, p, w, len(x), b, rf, relu, into_rf=inplace)
 
 
@@ -277,6 +273,8 @@ def conv1d_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray, *,
     over the slots' axis would pair them in an order numpy picks).
     """
     co, ci, k = w.shape
+    if gy.shape != (len(x), co, x.shape[2]):
+        raise ShapeError(f"gy shape {gy.shape} != {(len(x), co, x.shape[2])}")
     pad = (k - 1) // 2
     xf, p = _padded(x, pad)
     gf, _ = _padded(gy, p, exact=True)  # laid out like xf, column for column

@@ -128,10 +128,12 @@ def evaluate_holdout(x: np.ndarray, e: np.ndarray, params: SpikeNetParams,
                      cfg: SpikeNetConfig, lcfg: LossConfig) -> float:
     """Hard-spike total loss over a pixel set (evaluation mode).
 
-    The spikes are forward(x, mode="hard")'s, taken from the conv stack's
-    no-record path: no activations are kept for a backward pass."""
-    spikes, _, _ = bilif_fold(spikenet._conv_stack(x, params), cfg.lif, 0.0)
-    return total_loss(e, spikes, lcfg).total
+    The spikes are forward(x, mode="hard")'s, from the conv stack's no-record
+    path on spikenet._BLOCK pixels at a time, as infer_stream runs them."""
+    n = spikenet._BLOCK
+    spikes = [bilif_fold(spikenet._conv_stack(x[a:a + n], params), cfg.lif, 0.0)[0]
+              for a in range(0, len(x), n)]
+    return total_loss(e, np.concatenate(spikes), lcfg).total
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -171,6 +171,32 @@ def test_fused_residual_relu_equals_separate_passes(monkeypatch, k, tile):
                 assert got.base is r.base
 
 
+def test_conv_inplace_needs_a_residual_apart_from_x():
+    # writing into x's own buffer would overwrite columns that later tiles
+    # still unfold; with no residual there is no buffer to write into
+    gen = np.random.default_rng(11)
+    x = gen.normal(size=(3, 4, 9000)).astype(np.float32)
+    w = gen.normal(size=(4, 4, 7)).astype(np.float32)
+    b = gen.normal(size=4).astype(np.float32)
+    h = conv1d(x, w, b, relu=True)
+    with pytest.raises(ValueError, match="inplace"):
+        conv1d(x, w, b, inplace=True)
+    with pytest.raises(ValueError, match="inplace"):
+        conv1d(h, w, b, residual=h, relu=True, inplace=True)
+    # a residual that only holds x's values in a fresh array is fine
+    want = conv1d(h, w, b, residual=h, relu=True)
+    assert np.array_equal(conv1d(h, w, b, residual=h.copy(), relu=True, inplace=True), want)
+
+
+@pytest.mark.parametrize("shape", [(3, 5, 10), (2, 5, 12), (3, 4, 12)])
+def test_conv_backward_rejects_a_gy_unlike_the_output(shape):
+    gen = np.random.default_rng(12)
+    x, w = gen.normal(size=(3, 4, 12)), gen.normal(size=(5, 4, 3))
+    for input_grad in (True, False):
+        with pytest.raises(ShapeError):
+            conv1d_backward(gen.normal(size=shape), x, w, input_grad=input_grad)
+
+
 def test_receptive_field_formula():
     assert receptive_field(SpikeNetConfig(kernel=7, depth=3)) == 43
     assert receptive_field(SpikeNetConfig(kernel=1, depth=5)) == 1

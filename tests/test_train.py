@@ -6,12 +6,12 @@ from evsynth.errors import ConfigError, DivergenceError
 from evsynth.refsim import RefSimConfig
 from evsynth.scenegen import NoiseModel, SceneSpec, bar_edges
 from evsynth.loss import LossConfig, total_loss
-from evsynth.spikenet import SpikeNetConfig, forward, init_params
+from evsynth.spikenet import _BLOCK, SpikeNetConfig, forward, init_params
 from evsynth.train import (AdamState, DatasetPair, TrainConfig,
                            adam_step, clip_global_norm, evaluate_holdout,
                            make_dataset, train, write_history_csv)
 
-from conftest import run_cli
+from conftest import fake_blas, run_cli, traced_peak
 
 QUIET = RefSimConfig(theta=0.2, sigma_theta=0.0, init_mode="zero",
                      leak_rate=0.0, shot_rate=0.0)
@@ -180,16 +180,34 @@ def test_holdout_pixels_never_contribute_gradients():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_holdout_loss_equals_hard_forward_loss():
+    # more rows than two blocks hold: the last block is short
     cfg = SpikeNetConfig(channels=8, kernel=5, depth=2)
     params = init_params(cfg, 3)
     gen = np.random.default_rng(5)
-    x = gen.normal(0, 0.8, size=(40, 96)).astype(np.float32)
-    e = gen.integers(-1, 2, size=(40, 96)).astype(np.int8)
+    n = 2 * _BLOCK + 40
+    x = gen.normal(0, 0.8, size=(n, 96)).astype(np.float32)
+    e = gen.integers(-1, 2, size=(n, 96)).astype(np.int8)
     lcfg = LossConfig(0.1)
     spikes, _ = forward(x, params, cfg, mode="hard")
     assert np.abs(spikes).sum() > 0  # the comparison is not vacuous
     want = total_loss(e, spikes, lcfg).total
     assert evaluate_holdout(x, e, params, cfg, lcfg) == want
+
+
+def test_holdout_peak_is_one_block_of_convs(monkeypatch):
+    # 2048 pixels of 512 ticks, 136 MB per padded conv buffer if the whole
+    # set ran at once: that peaked at 267 MiB.  In _BLOCK-pixel blocks the
+    # bound holds one block's two conv buffers and its unfolds (about 25 MiB
+    # on 2 threads), or after them the loss's float64 (pixels, K) arrays,
+    # 8 MiB each (about 48 MiB in all)
+    fake_blas(monkeypatch, 2)
+    cfg = SpikeNetConfig()
+    gen = np.random.default_rng(8)
+    x = gen.normal(0, 0.5, size=(2048, 512)).astype(np.float32)
+    e = gen.integers(-1, 2, size=(2048, 512)).astype(np.int8)
+    _, peak = traced_peak(evaluate_holdout, x, e, init_params(cfg, 0), cfg,
+                          LossConfig(0.1))
+    assert peak < 100 * 2**20
 
 
 def test_divergence_raises():
