@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import frame_blocks
 from .errors import ConfigError, ShapeError
 
 
@@ -74,20 +75,33 @@ def count_loss(e, s):
     return np.abs(np.abs(s).sum(axis=-1) - np.abs(e).sum(axis=-1))
 
 
-def _as_pixels(x) -> np.ndarray:
-    """Coerce a SpikeTrain or array to (pixels, K) float64."""
-    if hasattr(x, "pixel_sequences"):
-        x = x.pixel_sequences()
-    x = np.asarray(x, dtype=np.float64)
-    return x[None, :] if x.ndim == 1 else x.reshape(-1, x.shape[-1])
+def _as_pixels(e, s) -> tuple[np.ndarray, np.ndarray]:
+    """Coerce two SpikeTrains or arrays to (pixels, K) arrays of one shape,
+    in their own dtypes."""
+    out = []
+    for x in (e, s):
+        if hasattr(x, "pixel_sequences"):
+            x = x.pixel_sequences()
+        x = np.asarray(x)
+        out.append(x[None, :] if x.ndim == 1 else x.reshape(-1, x.shape[-1]))
+    if out[0].shape != out[1].shape:
+        raise ShapeError(f"shapes {out[0].shape} != {out[1].shape}")
+    return out[0], out[1]
 
 
 def total_loss(e, s, cfg: LossConfig = LossConfig()) -> LossReport:
-    """Mean over pixels of emd_polar + weight * count_loss."""
-    ep, sp = _as_pixels(e), _as_pixels(s)
-    if ep.shape != sp.shape:
-        raise ShapeError(f"shapes {ep.shape} != {sp.shape}")
-    emd_px, count_px = emd_polar(ep, sp), count_loss(ep, sp)
+    """Mean over pixels of emd_polar + weight * count_loss.
+
+    The per-pixel terms are taken over blocks of rows (core.frame_blocks),
+    so their float64 temporaries span one block, not every pixel; a row's
+    terms do not depend on its block.  Each mean is taken once, over all
+    pixels.
+    """
+    ep, sp = _as_pixels(e, s)
+    emd_px, count_px = np.empty(len(ep)), np.empty(len(ep))
+    for a, b in frame_blocks(len(ep), max(ep.shape[1], 1)):
+        emd_px[a:b] = emd_polar(ep[a:b], sp[a:b])
+        count_px[a:b] = count_loss(ep[a:b], sp[a:b])
     emd_mean, count_mean = float(emd_px.mean()), float(count_px.mean())
     return LossReport(emd_mean, count_mean,
                       emd_mean + cfg.count_weight * count_mean,
@@ -115,9 +129,7 @@ def loss_grad(e, s, cfg: LossConfig = LossConfig()) -> np.ndarray:
     and sign(0) := 0, a valid subgradient at every kink.  Includes the
     1/n_pixels factor from the pixel mean, matching total_loss.
     """
-    ep, sp = _as_pixels(e), _as_pixels(s)
-    if ep.shape != sp.shape:
-        raise ShapeError(f"shapes {ep.shape} != {sp.shape}")
+    ep, sp = _pair(*_as_pixels(e, s))
     pos_mask = sp >= 0
     g = np.where(pos_mask, _emd_bidir_grad(_pos(ep), _pos(sp)), 0.0)
     g -= np.where(~pos_mask, _emd_bidir_grad(_pos(-ep), _pos(-sp)), 0.0)

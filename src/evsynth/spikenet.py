@@ -8,13 +8,17 @@ Architecture, all along the time axis with zero padding (kernel-1)/2:
     spikes = bipolar LIF fold over logits
 
 Convolutions use the cross-correlation orientation: y[t] = sum_w W[w] *
-x[t + w - pad].  The backward pass is hand-rolled reverse mode; the spike
-nonlinearity differentiates through the arctangent surrogate and the membrane
-recursion is unrolled with the reset treated as constant (straight-through).
+x[t + w - pad].  Every activation and gradient of the stack lives in a
+time-major buffer (B, T + 2p, C), each sequence zero-padded by p rows, so
+the k taps of one output tick are k*C contiguous values.  The backward pass
+is hand-rolled reverse mode; the spike nonlinearity differentiates through
+the arctangent surrogate and the membrane recursion is unrolled with the
+reset treated as constant (straight-through).
 """
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import struct
 import threading
@@ -24,12 +28,12 @@ import numpy as np
 
 from . import formats, rng
 from .core import F32_MAX, LogDiffSeq, SpikeTrain
-from .errors import ConfigError, FormatError, ShapeError
+from .errors import ConfigError, FormatError, RangeError, ShapeError
 from .spiking import (LifParams, SurrogateConfig, bilif_fold, soft_bilif,
                       surrogate_grad)
 
 _SALT_V0 = 31
-_TILE = 4096  # output columns per conv GEMM
+_TILE = 4096  # output rows per conv tile
 _TILES_PER_THREAD = 4  # a conv's tiles per thread, at least (_blas_threads)
 _BLOCK = 128  # pixels per infer_stream block
 # OpenBLAS's thread-count functions, by the names its builds export
@@ -116,16 +120,16 @@ def init_params(cfg: SpikeNetConfig, seed: int = 0,
 
 
 def _interior(buf: np.ndarray, p: int) -> np.ndarray:
-    """The (B, C, T) view of a (C, B, T + 2p) padded buffer."""
-    return buf[:, :, p:buf.shape[2] - p].transpose(1, 0, 2)
+    """The (B, C, T) view of a (B, T + 2p, C) padded buffer."""
+    return buf[:, p:buf.shape[1] - p].transpose(0, 2, 1)
 
 
 def _padded(x: np.ndarray, pad: int, exact: bool = False):
-    """(C, B*(T + 2P)) zero-padded channel-major buffer of x (B, C, T), and P.
+    """(B*(T + 2P), C) zero-padded time-major buffer of x (B, C, T), and P.
 
     x's own buffer when x is the interior view of a C-contiguous
-    (C, B, T + 2P) array with P >= pad (P == pad if exact) whose pad columns
-    are all zero, else a copy with P = pad.  Checking the pad columns reads
+    (B, T + 2P, C) array with P >= pad (P == pad if exact) whose pad rows
+    are all zero, else a copy with P = pad.  Checking the pad rows reads
     2P/(T + 2P) of the buffer; an array of that shape with anything but
     zeros there is not a padded buffer.
     """
@@ -133,104 +137,132 @@ def _padded(x: np.ndarray, pad: int, exact: bool = False):
     base = x.base
     if (isinstance(base, np.ndarray) and base.ndim == 3
             and base.flags.c_contiguous and base.dtype == x.dtype
-            and base.shape[:2] == (c, n_b) and (base.shape[2] - t) % 2 == 0):
-        p = (base.shape[2] - t) // 2
+            and base.shape[::2] == (n_b, c) and (base.shape[1] - t) % 2 == 0):
+        p = (base.shape[1] - t) // 2
         inner = _interior(base, p)
         if ((p == pad if exact else p >= pad)
                 and inner.ctypes.data == x.ctypes.data
                 and all(n == 1 or s == r for n, s, r
                         in zip(x.shape, x.strides, inner.strides))
-                and not base[:, :, :p].any() and not base[:, :, p + t:].any()):
-            return base.reshape(c, -1), p
-    buf = np.zeros((c, n_b, t + 2 * pad), x.dtype)
+                and not base[:, :p].any() and not base[:, p + t:].any()):
+            return base.reshape(-1, c), p
+    buf = np.zeros((n_b, t + 2 * pad, c), x.dtype)
     _interior(buf, pad)[:] = x
-    return buf.reshape(c, -1), pad
+    return buf.reshape(-1, c), pad
 
 
-def _unfold(xf: np.ndarray, off: int, k: int, cols: int, i: int, u=None):
-    """(a, n, op) of tile i of the window starts 0..cols-1 over xf: its n
-    starts a.., and their GEMM operand (k*Ci, _TILE).
+def _unfold(xf: np.ndarray, off: int, k: int, rows: int, i: int, u=None):
+    """The (_TILE, k*Ci) operand of tile i of the window starts 0..rows-1
+    over xf (see _residues), the window of start a + s in row s and zeros
+    past the tile's n starts.
 
-    Row block j of op holds xf[:, off+a+j : off+a+j+n], and its columns past
-    n are zero.  A full tile of a k=1 conv is xf's own columns, with no copy;
-    every other tile is copied into u (k, Ci, _TILE), or into a new buffer
-    when u is None.
+    A full tile of a k=1 conv is xf's own rows, with no copy; every other
+    tile is one copy of overlapping windows into u (_TILE, k*Ci), or into a
+    new buffer when u is None.
     """
     a = i * _TILE
-    n = min(_TILE, cols - a)
+    n = min(_TILE, rows - a)
+    ci = xf.shape[1]
     if k == 1 and n == _TILE:
-        return a, n, xf[:, off + a:off + a + n]
+        return xf[off + a:off + a + n]
     if u is None:
-        u = np.empty((k, xf.shape[0], _TILE), xf.dtype)
-    for j in range(k):
-        u[j, :, :n] = xf[:, off + a + j:off + a + j + n]
-    u[:, :, n:] = 0
-    return a, n, u.reshape(-1, _TILE)
+        u = np.empty((_TILE, k * ci), xf.dtype)
+    windows = np.lib.stride_tricks.sliding_window_view(xf.reshape(-1), k * ci)[::ci]
+    u[:n] = windows[off + a:off + a + n]
+    u[n:] = 0
+    return u
+
+
+def _residues(xf: np.ndarray, off: int, k: int, rows: int, i: int):
+    """(m, windows) for each residue m of tile i of the window starts
+    0..rows-1 over xf: the tile's starts are a = i*_TILE .. a+n-1, with
+    n = min(_TILE, rows - a).
+
+    The window of start s is the k*Ci values of xf's flat buffer from row
+    off + s on, tap-major.  Windows k rows apart lie end to end, so the
+    windows of starts a+m, a+m+k, a+m+2k, ... (before a+n) are one
+    (ceil((n-m)/k), k*Ci) matrix view of xf, with no copy.
+    """
+    a = i * _TILE
+    n = min(_TILE, rows - a)
+    ci = xf.shape[1]
+    flat = xf.reshape(-1)
+    for m in range(min(k, n)):
+        start, n_m = (off + a + m) * ci, -(-(n - m) // k)
+        yield m, flat[start:start + n_m * k * ci].reshape(n_m, k * ci)
 
 
 def _correlate(xf: np.ndarray, p: int, w: np.ndarray, n_b: int, b=None,
                rf=None, relu: bool = False, mask=None, on_tile=None,
                into_rf: bool = False) -> np.ndarray:
-    """'Same' correlation of a _padded buffer (Ci, B*(T+2p)) with (Co, Ci, k).
+    """'Same' correlation of a _padded buffer (B*(T+2p), Ci) with (Co, Ci, k).
 
     Returns the (B, Co, T) interior view of a new buffer padded like xf, or
     with into_rf of rf's own buffer, which the result overwrites tile by
-    tile.  Each tile's GEMM writes its thread's (Co, _TILE) scratch, which
-    gets the bias b and the residual rf (a buffer laid out like the output);
-    the last step writes the output: the ReLU, or the product with (mask > 0)
-    for a buffer mask laid out like the output (never both), or a copy.
+    tile.  Each tile of _TILE output rows is computed into its thread's
+    (_TILE, Co) scratch, which gets the bias b and the residual rf (a buffer
+    laid out like the output); the last step writes the output's row block:
+    the ReLU, or the product with (mask > 0) for a buffer mask laid out like
+    the output (never both), or a copy.
 
-    Every GEMM has the one shape (Co, k*Ci) @ (k*Ci, _TILE), so BLAS picks
-    the same kernel for every column and a column's value does not depend on
-    the batch, the window around it or the thread that computes it.  Window
-    start p - pad + s gives the output at buffer column p + s; columns whose
-    window runs into the next sequence land on pad columns and are zeroed
-    after the last tile.  The tiles run through _run_threads, each with its
-    own unfold, GEMM and epilogue; on_tile(i, u), when given, sees tile i's
-    full-width unfold on the thread that made it.
+    The output at buffer row p + s is the window of start p - pad + s (see
+    _residues) times the kernel as a (k*Ci, Co) matrix, so each of a tile's
+    k residues is one GEMM (n_m, k*Ci) @ (k*Ci, Co) of a view of xf itself
+    into the residue's rows of the scratch.  Each output is one dot product
+    over its window in tap order, so its value does not depend on the batch,
+    the window around it, its GEMM or the thread that computes it.  With one
+    output channel the product would be a gemv, whose sum order follows its
+    operand's orientation: it runs as (1, k*Ci) @ (k*Ci, _TILE) on a
+    transposed copy of the tile's _unfold instead, the orientation the
+    head's logits have always had.  Rows whose window runs into the next
+    sequence land on pad rows and are zeroed after the last tile.  The tiles
+    run through _run_threads, each with its own GEMMs and epilogue;
+    on_tile(i), when given, then runs on the tile's thread.
     """
     co, ci, k = w.shape
-    width = xf.shape[1]
-    cols = width - 2 * p
+    rows = xf.shape[0] - 2 * p
     off = p - (k - 1) // 2
-    w2 = w.transpose(0, 2, 1).reshape(co, k * ci)  # tap-major, like u's rows
-    n_tiles = -(-cols // _TILE)
+    wt = w.transpose(2, 1, 0).reshape(k * ci, co)  # tap-major, like a window
+    n_tiles = -(-rows // _TILE)
     n_threads = _blas_threads(n_tiles, _TILES_PER_THREAD)
-    # Each thread's unfold buffer comes first: freed below y, their pages
-    # serve the next conv's unfolds instead of being faulted in again, as
-    # glibc returns a free top of the heap to the OS.  That halved a training
-    # step's faults.
-    units = [np.empty((k, ci, _TILE), xf.dtype) for _ in range(n_threads)]
     if into_rf:
-        y = rf.reshape(co, n_b, -1)
+        y = rf.reshape(n_b, -1, co)
     else:  # 3-D, as _padded recognises a buffer by its base's shape
-        y = np.empty((co, n_b, width // n_b), np.result_type(xf, w))
-    yf = y.reshape(co, width)
+        y = np.empty((n_b, xf.shape[0] // n_b, co), np.result_type(xf, w))
+    yf = y.reshape(-1, co)
     # made on each thread's first tile: made up front, they slowed training
     scratch = [None] * n_threads
 
     def tile(slot, i):
-        a, n, u = _unfold(xf, off, k, cols, i, units[slot])
+        a = i * _TILE
+        n = min(_TILE, rows - a)
         if scratch[slot] is None:
-            scratch[slot] = np.empty((co, _TILE), y.dtype)
-        s = np.matmul(w2, u, out=scratch[slot])[:, :n]
+            scratch[slot] = np.empty((_TILE, co), y.dtype)
+        s = scratch[slot]
+        if co == 1:
+            cols = _unfold(xf, off, k, rows, i).T.copy()
+            np.matmul(wt.T, cols, out=s.reshape(1, _TILE))
+        else:
+            for m, windows in _residues(xf, off, k, rows, i):
+                np.matmul(windows, wt, out=s[m:n:k])
+        s = s[:n]
         if b is not None:
-            s += b[:, None]
+            s += b
         if rf is not None:
-            s += rf[:, p + a:p + a + n]
-        out = yf[:, p + a:p + a + n]
+            s += rf[p + a:p + a + n]
+        out = yf[p + a:p + a + n]
         if relu:
             np.maximum(s, 0, out=out)
         elif mask is not None:
-            np.multiply(s, mask[:, p + a:p + a + n] > 0, out=out)
+            np.multiply(s, mask[p + a:p + a + n] > 0, out=out)
         else:
             out[:] = s
         if on_tile is not None:
-            on_tile(i, u)
+            on_tile(i)
 
     _run_threads(n_threads, n_tiles, tile)
-    y[:, :, :p] = 0
-    y[:, :, y.shape[2] - p:] = 0
+    y[:, :p] = 0
+    y[:, y.shape[1] - p:] = 0
     return _interior(y, p)
 
 
@@ -239,11 +271,11 @@ def conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray, *, residual=None,
     """Cross-correlate (B, Ci, T) with (Co, Ci, k) under 'same' zero padding,
     add b, then residual (B, Co, T) if given, then take the ReLU if relu.
 
-    The result is the interior view of a zero-padded channel-major buffer,
+    The result is the interior view of a zero-padded time-major buffer,
     which a following conv1d or conv1d_backward reads without a copy.  With
     inplace that buffer is residual's (or its padded copy's), whose values
     the result replaces; it must not share memory with x's buffer, whose
-    columns later tiles still read.
+    rows later tiles still read.
     """
     xf, p = _padded(x, (w.shape[2] - 1) // 2)
     rf = None if residual is None else _padded(residual, p, exact=True)[0]
@@ -261,53 +293,58 @@ def conv1d_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray, *,
     ReLU: (dx + residual) * (x > 0), each tile while it is in cache.
 
     dx correlates gy with the kernel transposed and flipped in time (for odd
-    k again 'same').  That unfolds gy: row (k-1-j, o) of a tile holds
-    gy[o, s + pad - j] at column s, so the same unfold times x's columns
-    gives dw[o, :, j] = sum_s gy[o, s + pad - j] x[:, s], tile by tile.
-    Without dx, dw instead comes from gy's columns times an unfold of x,
-    which has k*Ci rows rather than k*Co.  Those columns of x or gy are
-    _unfold's k=1 tiles, at full _TILE width, so every dw GEMM has one
-    shape, as every _correlate GEMM does, and its bits do not depend on the
-    BLAS threads.  Each tile's dw product has its own slot, and the slots
-    are folded left in tile order, whichever thread ran each tile (a sum
-    over the slots' axis would pair them in an order numpy picks).
+    k again 'same').  After each dx tile, while its rows are in cache, dw
+    takes one GEMM per tap: gy's rows shifted by j, transposed, times x's
+    rows give dw[o, :, k-1-j] = sum_s gy[o, s + pad - j] x[:, s].  Without
+    dx, dw instead comes from the _unfold of x, which has k*Ci columns
+    rather than k*Co, transposed, times gy's rows.  Every dw GEMM sums over
+    a full _TILE of rows (_unfold's operands, a short last tile padded with
+    zeros), so its bits do not depend on the BLAS threads: dw GEMMs over
+    each residue's rows (_residues), 585 deep, gave other bits on
+    OpenBLAS's two threads than on one.  Each tile's dw product has its own
+    slot, and the slots are folded left in tile order, whichever thread ran
+    each tile (a sum over the slots' axis would pair them in an order numpy
+    picks).
     """
     co, ci, k = w.shape
     if gy.shape != (len(x), co, x.shape[2]):
         raise ShapeError(f"gy shape {gy.shape} != {(len(x), co, x.shape[2])}")
     pad = (k - 1) // 2
     xf, p = _padded(x, pad)
-    gf, _ = _padded(gy, p, exact=True)  # laid out like xf, column for column
-    cols = xf.shape[1] - 2 * p
-    n_tiles = -(-cols // _TILE)
+    gf, _ = _padded(gy, p, exact=True)  # laid out like xf, row for row
+    rows = xf.shape[0] - 2 * p
+    n_tiles = -(-rows // _TILE)
     dtype = np.result_type(gy, x)
     if input_grad:
-        dw_tiles = np.empty((n_tiles, k * co, ci), dtype)  # row (k-1-j, o)
+        dw_tiles = np.empty((n_tiles, k, co, ci), dtype)  # [i, j]: dw's tap k-1-j
 
-        def dw_tile(i, u):  # x at each dx column
-            np.matmul(u, _unfold(xf, p, 1, cols, i)[2].T, out=dw_tiles[i])
+        def dw_tile(i):  # x at each dx row, gy at each tap
+            x_rows = _unfold(xf, p, 1, rows, i)
+            for j in range(k):
+                g_rows = _unfold(gf, p - pad + j, 1, rows, i)
+                np.matmul(g_rows.T, x_rows, out=dw_tiles[i, j])
 
         rf = None if residual is None else _padded(residual, p, exact=True)[0]
         dx = _correlate(gf, p, w.transpose(1, 0, 2)[:, :, ::-1], len(gy), rf=rf,
                         mask=xf if relu_input else None, on_tile=dw_tile)
-        dw = functools.reduce(np.add, dw_tiles).reshape(k, co, ci)[::-1].transpose(1, 2, 0)
+        dw = functools.reduce(np.add, dw_tiles)[::-1].transpose(1, 2, 0)
     else:
         n_threads = _blas_threads(n_tiles, _TILES_PER_THREAD)
-        units = [np.empty((k, ci, _TILE), xf.dtype) for _ in range(n_threads)]
-        dw_tiles = np.empty((n_tiles, co, k * ci), dtype)  # column (j, i)
+        units = [np.empty((_TILE, k * ci), xf.dtype) for _ in range(n_threads)]
+        dw_tiles = np.empty((n_tiles, k * ci, co), dtype)  # row (j, i)
 
         def dw_tile(slot, i):
-            u = _unfold(xf, p - pad, k, cols, i, units[slot])[2]
-            np.matmul(_unfold(gf, p, 1, cols, i)[2], u.T, out=dw_tiles[i])
+            u = _unfold(xf, p - pad, k, rows, i, units[slot])
+            np.matmul(u.T, _unfold(gf, p, 1, rows, i), out=dw_tiles[i])
 
         _run_threads(n_threads, n_tiles, dw_tile)
-        dw, dx = functools.reduce(np.add, dw_tiles).reshape(co, k, ci).transpose(0, 2, 1), None
+        dw, dx = functools.reduce(np.add, dw_tiles).reshape(k, ci, co).transpose(2, 1, 0), None
     return np.ascontiguousarray(dw), gy.sum(axis=(0, 2)), dx
 
 
 @dataclass
 class ForwardCache:
-    # Activations are interior views of zero-padded channel-major buffers.
+    # Activations are interior views of zero-padded time-major buffers.
     # z0, z1s and s_pres are the ReLU outputs whose masks backward() applies
     # (z > 0 equals relu(z) > 0).  Each is the input of the conv whose dx it
     # masks, so they share hs and rs rather than copy, and backward() reads
@@ -492,9 +529,10 @@ def _run_threads(n_threads: int, n_items: int, work) -> None:
     item until none is left or one has failed.
 
     While they run, BLAS is set to one thread, one per item, and its count
-    is restored afterwards.  The first error is raised in the caller with
-    its own type, and no helper outlives the call.  slot lets an item use
-    its thread's own buffers.
+    is restored afterwards.  Each helper runs in a copy of the caller's
+    context, so numpy's error state holds in it as in the caller.  The first
+    error is raised in the caller with its own type, and no helper outlives
+    the call.  slot lets an item use its thread's own buffers.
     """
     if n_threads == 1:
         for i in range(n_items):
@@ -520,7 +558,8 @@ def _run_threads(n_threads: int, n_items: int, work) -> None:
     helpers = []
     try:
         for slot in range(1, n_threads):
-            helper = threading.Thread(target=run, args=(slot,))
+            helper = threading.Thread(target=contextvars.copy_context().run,
+                                      args=(run, slot))
             helper.start()
             helpers.append(helper)
         run(0)
@@ -552,7 +591,9 @@ def infer_stream(x: LogDiffSeq, p: SpikeNetParams, cfg: SpikeNetConfig,
 
     The blocks run through _run_threads, on OpenBLAS's thread count capped
     at two blocks per thread (_blas_threads).  Inside them BLAS reads one
-    thread, so each block's convs run their tiles on its own thread.
+    thread, so each block's convs run their tiles on its own thread.  A
+    network whose values overflow float32 on x (finite weights can be that
+    large) raises RangeError.
     """
     check_v0(v0_mode, seed)
     k, h, w = x.data.shape
@@ -570,7 +611,11 @@ def infer_stream(x: LogDiffSeq, p: SpikeNetParams, cfg: SpikeNetConfig,
         a, b = i * _BLOCK, (i + 1) * _BLOCK
         _infer_rows(pix[a:b], p, cfg, v0[a:b], chunk, out[a:b])
 
-    _run_threads(_blas_threads(n_blocks, 2), n_blocks, block)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            _run_threads(_blas_threads(n_blocks, 2), n_blocks, block)
+    except FloatingPointError:
+        raise RangeError("the network's values overflow float32 on this input") from None
     return SpikeTrain(x.width, x.height, x.fps, out.reshape(h, w, k).transpose(2, 0, 1))
 
 

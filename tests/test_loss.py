@@ -116,6 +116,18 @@ def test_total_loss_composition():
     assert rep0.total == rep0.emd
 
 
+def test_total_loss_over_row_blocks_equals_the_whole_rows(rng):
+    # 2**18 values per block: 1100 rows of 600 ticks span three blocks, the
+    # last one short; each row's terms, and so each mean, keep their bits
+    e = rng.integers(-1, 2, size=(1100, 600)).astype(np.int8)
+    s = rng.uniform(-1.5, 1.5, size=(1100, 600)).astype(np.float32)
+    cfg = LossConfig(0.1)
+    rep = total_loss(e, s, cfg)
+    emd_px, count_px = emd_polar(e, s), count_loss(e, s)
+    assert rep.per_pixel.tobytes() == (emd_px + 0.1 * count_px).tobytes()
+    assert (rep.emd, rep.count) == (float(emd_px.mean()), float(count_px.mean()))
+
+
 def test_total_loss_nonnegative(rng):
     e = rng.integers(-1, 2, size=(20, 15)).astype(float)
     s = rng.uniform(-1, 1, size=(20, 15))

@@ -2,13 +2,14 @@ import struct
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
 
 from evsynth import cli, spikenet
 from evsynth.core import LogDiffSeq
-from evsynth.errors import FormatError, ShapeError
+from evsynth.errors import FormatError, RangeError, ShapeError
 from evsynth.formats import read_evt1
 from evsynth.luminance import log_diff_sequence
 from evsynth.scenegen import SceneSpec, gen_scene
@@ -134,14 +135,15 @@ def test_conv_backward_folds_the_tile_dws_in_tile_order(monkeypatch, input_grad)
 @pytest.mark.parametrize("fill", ["zeros", "noise"])
 @pytest.mark.parametrize("k", [1, 3, 7])
 def test_conv_on_a_caller_made_padded_buffer(monkeypatch, k, fill, tile):
-    # a (C, B, T + 2P) array with P = 4 wider than every pad here: its
-    # interior view is read in place only when the pad columns are zero
+    # a (B, T + 2P, C) array with P = 4 wider than every pad here: its
+    # interior view is read in place only when the pad rows are zero
     _set_tile(monkeypatch, tile)
     gen = np.random.default_rng(k)
-    buf = gen.normal(size=(4, 3, 9 + 8))
+    buf = gen.normal(size=(3, 9 + 8, 4))
     if fill == "zeros":
-        buf[:, :, :4] = buf[:, :, -4:] = 0
-    x = buf[:, :, 4:-4].transpose(1, 0, 2)
+        buf[:, :4] = buf[:, -4:] = 0
+    x = buf[:, 4:-4].transpose(0, 2, 1)
+    assert np.shares_memory(spikenet._padded(x, 3)[0], buf) == (fill == "zeros")
     w = gen.normal(size=(5, 4, k))
     b = gen.normal(size=5)
     gy = gen.normal(size=(3, 5, 9))
@@ -150,6 +152,23 @@ def test_conv_on_a_caller_made_padded_buffer(monkeypatch, k, fill, tile):
     for got, want in zip(conv1d_backward(gy, x, w),
                          conv1d_backward(gy, np.ascontiguousarray(x), w)):
         assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_conv_reads_a_conv_output_in_place():
+    # each activation is the interior view of its padded buffer, which the
+    # next conv, forward or backward, reads with no padded copy: a k=7 conv
+    # at its own pad, and the k=1 head, whose pad of 0 the wider one serves
+    gen = np.random.default_rng(13)
+    x = gen.normal(size=(3, 4, 20)).astype(np.float32)
+    w = gen.normal(size=(4, 4, 7)).astype(np.float32)
+    h = conv1d(x, w, np.zeros(4, np.float32), relu=True)
+    for pad in (3, 0):
+        buf, p = spikenet._padded(h, pad)
+        assert p == 3 and buf.shape == (3 * 26, 4)
+        assert np.shares_memory(buf, h) and np.shares_memory(buf[p::26], h[:, :, 0])
+    head = conv1d(h, gen.normal(size=(1, 4, 1)).astype(np.float32), np.zeros(1, np.float32))
+    assert np.shares_memory(spikenet._padded(head, 0)[0], head)
+    assert np.shares_memory(spikenet._padded(h, 3, exact=True)[0], h)
 
 
 @pytest.mark.parametrize("tile", [None, _SMALL_TILE], ids=["default", "small"])
@@ -408,17 +427,19 @@ def test_conv_stack_without_record_equals_the_recorded_logits(monkeypatch, k,
 
 
 def test_infer_peak_is_two_padded_buffers_per_block(monkeypatch):
-    # per thread, h and r of one _BLOCK-pixel block and one unfold; besides,
-    # the int8 output, a quarter of the input's size: the blocks are read
-    # from the input itself, with no pixel-major copy
+    # per thread, h and r of one _BLOCK-pixel block and two channels x _TILE
+    # tiles (the conv scratch and the head's transposed tile), with no
+    # unfold: the convs read their windows from the buffers; besides, the
+    # int8 output, a quarter of the input's size: the blocks are read from
+    # the input itself, with no pixel-major copy
     fake_blas(monkeypatch, 2)
     cfg = SpikeNetConfig()
     x = log_diff_sequence(gen_scene(SceneSpec("mixed", 64, 64, 1000.0, 0.251, seed=2)))
     pad = (cfg.kernel - 1) // 2
     buf = cfg.channels * _BLOCK * (x.k + 2 * pad) * 4
-    unfold = cfg.kernel * cfg.channels * _TILE * 4
+    tile = cfg.channels * _TILE * 4
     _, peak = traced_peak(infer_stream, x, init_params(cfg, 0), cfg)
-    assert peak < 2 * (2 * buf + unfold) + 1.5 * x.data.nbytes
+    assert peak < 2 * (2 * buf + 2 * tile) + 1.5 * x.data.nbytes
 
 
 def _block_threads(monkeypatch, threads):
@@ -515,6 +536,37 @@ def test_infer_error_in_a_helper_thread_reaches_the_caller(monkeypatch, rng, whi
     finally:
         if which == "openblas":
             set_(old)
+
+
+def test_infer_overflow_is_a_range_error_on_every_thread(monkeypatch, rng):
+    # finite weights large enough that the convs overflow float32: 13
+    # blocks on two threads end in one RangeError, with no warning
+    fake_blas(monkeypatch, 2)
+    monkeypatch.setattr(spikenet, "_BLOCK", 5)
+    cfg = SpikeNetConfig(channels=2, kernel=3, depth=1)
+    params = init_params(cfg, 1, dtype=np.float32)
+    params.blocks[0].w2[:] = 1.5e38
+    seq = LogDiffSeq(9, 7, 1000.0, rng.normal(0, 0.8, (12, 7, 9)).astype(np.float32))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RangeError, match="overflow"):
+            infer_stream(seq, params, cfg)
+
+
+def test_run_threads_helpers_keep_the_callers_error_state(monkeypatch):
+    # items 0 and 1 each wait until the other is taken, so each thread runs one
+    fake_blas(monkeypatch, 2)
+    barrier = threading.Barrier(2, timeout=30)
+    seen = []
+
+    def work(slot, i):
+        if i < 2:
+            barrier.wait()
+        seen.append((slot, np.geterr()["over"]))
+    with np.errstate(over="raise"):
+        spikenet._run_threads(2, 4, work)
+    assert {slot for slot, _ in seen} == {0, 1}
+    assert [over for _, over in seen] == ["raise"] * 4
 
 
 def test_infer_output_independent_of_blas_threads(tmp_path):
@@ -618,22 +670,28 @@ def test_conv_tiles_on_threads_match_the_serial_run(monkeypatch, request,
     assert get() == n
 
 
+def _wrap_tiles(monkeypatch, wrap):
+    """Run each work item of spikenet._run_threads as wrap(work, slot, i)."""
+    run = spikenet._run_threads
+    monkeypatch.setattr(spikenet, "_run_threads", lambda n_threads, n_items, work:
+                        run(n_threads, n_items, lambda slot, i: wrap(work, slot, i)))
+
+
 def test_conv_error_in_a_helper_tile_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(spikenet, "_TILE", _THREAD_TILE)
     blas = fake_blas(monkeypatch, 2)
-    unfold = spikenet._unfold
     helper_began = threading.Event()
     taken = []
 
-    def helper_fails(*args):
-        taken.append(args)
+    def helper_fails(work, slot, i):
+        taken.append(i)
         if threading.current_thread() is threading.main_thread():
             helper_began.wait(30)  # so the helper takes a tile ...
             time.sleep(0.2)  # ... and has failed before this one ends
-            return unfold(*args)
+            return work(slot, i)
         helper_began.set()
         raise KeyError("helper tile")
-    monkeypatch.setattr(spikenet, "_unfold", helper_fails)
+    _wrap_tiles(monkeypatch, helper_fails)
     x = np.random.default_rng(2).normal(size=(15, 4, 50)).astype(np.float32)
     w = np.ones((4, 4, 3), np.float32)
     active = threading.active_count()
@@ -645,17 +703,16 @@ def test_conv_error_in_a_helper_tile_reaches_the_caller(monkeypatch):
 
 
 def test_conv_under_the_tile_floor_runs_on_the_caller(monkeypatch):
-    # 7 sequences of 50 ticks, padded by 1: 364 columns, 6 tiles, fewer than
+    # 7 sequences of 50 ticks, padded by 1: 364 rows, 6 tiles, fewer than
     # two threads' floor
     monkeypatch.setattr(spikenet, "_TILE", _THREAD_TILE)
     blas = fake_blas(monkeypatch, 2)
-    ran_on = set()
-    unfold = spikenet._unfold
+    ran_on = []
 
-    def record(*args):
-        ran_on.add(threading.get_ident())
-        return unfold(*args)
-    monkeypatch.setattr(spikenet, "_unfold", record)
+    def record(work, slot, i):
+        ran_on.append(threading.get_ident())
+        return work(slot, i)
+    _wrap_tiles(monkeypatch, record)
     gen = np.random.default_rng(5)
     x = gen.normal(size=(7, 4, 50)).astype(np.float32)
     w = gen.normal(size=(4, 4, 3)).astype(np.float32)
@@ -663,7 +720,8 @@ def test_conv_under_the_tile_floor_runs_on_the_caller(monkeypatch):
     y = conv1d(x, w, np.zeros(4, np.float32), relu=True)
     conv1d_backward(y, x, w, relu_input=True)
     conv1d_backward(y, x, w, input_grad=False)
-    assert ran_on == {threading.get_ident()} and blas.calls == []
+    assert len(ran_on) == 3 * 6 and set(ran_on) == {threading.get_ident()}
+    assert blas.calls == []
 
 
 def test_conv_backward_folds_residual_and_relu_mask_into_dx(monkeypatch):

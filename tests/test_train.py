@@ -195,19 +195,19 @@ def test_holdout_loss_equals_hard_forward_loss():
 
 
 def test_holdout_peak_is_one_block_of_convs(monkeypatch):
-    # 2048 pixels of 512 ticks, 136 MB per padded conv buffer if the whole
-    # set ran at once: that peaked at 267 MiB.  In _BLOCK-pixel blocks the
-    # bound holds one block's two conv buffers and its unfolds (about 25 MiB
-    # on 2 threads), or after them the loss's float64 (pixels, K) arrays,
-    # 8 MiB each (about 48 MiB in all)
+    # 4096 pixels of 512 ticks, 272 MB per padded conv buffer if the whole
+    # set ran at once.  In _BLOCK-pixel blocks the bound holds one block's
+    # two conv buffers and tiles (about 26 MiB on 2 threads), and the loss's
+    # float64 temporaries over one block of rows; with whole (pixels, K)
+    # float64 arrays, 16 MiB each, the peak was 100 MiB
     fake_blas(monkeypatch, 2)
     cfg = SpikeNetConfig()
     gen = np.random.default_rng(8)
-    x = gen.normal(0, 0.5, size=(2048, 512)).astype(np.float32)
-    e = gen.integers(-1, 2, size=(2048, 512)).astype(np.int8)
+    x = gen.normal(0, 0.5, size=(4096, 512)).astype(np.float32)
+    e = gen.integers(-1, 2, size=(4096, 512)).astype(np.int8)
     _, peak = traced_peak(evaluate_holdout, x, e, init_params(cfg, 0), cfg,
                           LossConfig(0.1))
-    assert peak < 100 * 2**20
+    assert peak < 40 * 2**20
 
 
 def test_divergence_raises():
