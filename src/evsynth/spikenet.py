@@ -151,25 +151,16 @@ def _padded(x: np.ndarray, pad: int, exact: bool = False):
     return buf.reshape(-1, c), pad
 
 
-def _unfold(xf: np.ndarray, off: int, k: int, rows: int, i: int, u=None):
-    """The (_TILE, k*Ci) operand of tile i of the window starts 0..rows-1
-    over xf (see _residues), the window of start a + s in row s and zeros
-    past the tile's n starts.
-
-    A full tile of a k=1 conv is xf's own rows, with no copy; every other
-    tile is one copy of overlapping windows into u (_TILE, k*Ci), or into a
-    new buffer when u is None.
-    """
+def _tile_rows(xf: np.ndarray, off: int, rows: int, i: int) -> np.ndarray:
+    """Tile i's (_TILE, C) operand: xf's rows from off + i*_TILE on, of
+    which the tile has n = min(_TILE, rows - i*_TILE).  A view of xf for a
+    full tile, a copy with zeros past its n rows for the short last one."""
     a = i * _TILE
     n = min(_TILE, rows - a)
-    ci = xf.shape[1]
-    if k == 1 and n == _TILE:
+    if n == _TILE:
         return xf[off + a:off + a + n]
-    if u is None:
-        u = np.empty((_TILE, k * ci), xf.dtype)
-    windows = np.lib.stride_tricks.sliding_window_view(xf.reshape(-1), k * ci)[::ci]
-    u[:n] = windows[off + a:off + a + n]
-    u[n:] = 0
+    u = np.zeros((_TILE, xf.shape[1]), xf.dtype)
+    u[:n] = xf[off + a:off + a + n]
     return u
 
 
@@ -210,14 +201,14 @@ def _correlate(xf: np.ndarray, p: int, w: np.ndarray, n_b: int, b=None,
     k residues is one GEMM (n_m, k*Ci) @ (k*Ci, Co) of a view of xf itself
     into the residue's rows of the scratch.  Each output is one dot product
     over its window in tap order, so its value does not depend on the batch,
-    the window around it, its GEMM or the thread that computes it.  With one
-    output channel the product would be a gemv, whose sum order follows its
-    operand's orientation: it runs as (1, k*Ci) @ (k*Ci, _TILE) on a
-    transposed copy of the tile's _unfold instead, the orientation the
-    head's logits have always had.  Rows whose window runs into the next
-    sequence land on pad rows and are zeroed after the last tile.  The tiles
-    run through _run_threads, each with its own GEMMs and epilogue;
-    on_tile(i), when given, then runs on the tile's thread.
+    the window around it, its GEMM or the thread that computes it.  The k=1
+    head's product would be a gemv, whose sum order follows its operand's
+    orientation: it runs as (1, Ci) @ (Ci, _TILE) on a transposed copy of
+    the tile's _tile_rows instead, the orientation its logits have always
+    had.  Rows whose window runs into the next sequence land on pad rows
+    and are zeroed after the last tile.  The tiles run through _run_threads,
+    each with its own GEMMs and epilogue; on_tile(i), when given, then runs
+    on the tile's thread.
     """
     co, ci, k = w.shape
     rows = xf.shape[0] - 2 * p
@@ -239,8 +230,8 @@ def _correlate(xf: np.ndarray, p: int, w: np.ndarray, n_b: int, b=None,
         if scratch[slot] is None:
             scratch[slot] = np.empty((_TILE, co), y.dtype)
         s = scratch[slot]
-        if co == 1:
-            cols = _unfold(xf, off, k, rows, i).T.copy()
+        if co == 1 and k == 1:
+            cols = _tile_rows(xf, off, rows, i).T.copy()
             np.matmul(wt.T, cols, out=s.reshape(1, _TILE))
         else:
             for m, windows in _residues(xf, off, k, rows, i):
@@ -293,18 +284,17 @@ def conv1d_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray, *,
     ReLU: (dx + residual) * (x > 0), each tile while it is in cache.
 
     dx correlates gy with the kernel transposed and flipped in time (for odd
-    k again 'same').  After each dx tile, while its rows are in cache, dw
-    takes one GEMM per tap: gy's rows shifted by j, transposed, times x's
-    rows give dw[o, :, k-1-j] = sum_s gy[o, s + pad - j] x[:, s].  Without
-    dx, dw instead comes from the _unfold of x, which has k*Ci columns
-    rather than k*Co, transposed, times gy's rows.  Every dw GEMM sums over
-    a full _TILE of rows (_unfold's operands, a short last tile padded with
-    zeros), so its bits do not depend on the BLAS threads: dw GEMMs over
-    each residue's rows (_residues), 585 deep, gave other bits on
-    OpenBLAS's two threads than on one.  Each tile's dw product has its own
-    slot, and the slots are folded left in tile order, whichever thread ran
-    each tile (a sum over the slots' axis would pair them in an order numpy
-    picks).
+    k again 'same').  dw takes one GEMM per tap on each tile: gy's rows
+    shifted by j, transposed, times x's rows give dw[o, :, k-1-j] =
+    sum_s gy[o, s + pad - j] x[:, s].  With dx it runs after each dx tile,
+    while its rows are in cache; without it the tiles run on their own.
+    Every dw GEMM sums over a full _TILE of rows (_tile_rows, a short last
+    tile padded with zeros), so its bits do not depend on the BLAS threads:
+    dw GEMMs over each residue's rows (_residues), 585 deep, gave other
+    bits on OpenBLAS's two threads than on one.  Each tile's dw product has
+    its own slot, and the slots are folded left in tile order, whichever
+    thread ran each tile (a sum over the slots' axis would pair them in an
+    order numpy picks).
     """
     co, ci, k = w.shape
     if gy.shape != (len(x), co, x.shape[2]):
@@ -315,30 +305,23 @@ def conv1d_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray, *,
     rows = xf.shape[0] - 2 * p
     n_tiles = -(-rows // _TILE)
     dtype = np.result_type(gy, x)
+    dw_tiles = np.empty((n_tiles, k, co, ci), dtype)  # [i, j]: dw's tap k-1-j
+
+    def dw_tile(i):  # x at each row, gy at each tap
+        x_rows = _tile_rows(xf, p, rows, i)
+        for j in range(k):
+            g_rows = _tile_rows(gf, p - pad + j, rows, i)
+            np.matmul(g_rows.T, x_rows, out=dw_tiles[i, j])
+
     if input_grad:
-        dw_tiles = np.empty((n_tiles, k, co, ci), dtype)  # [i, j]: dw's tap k-1-j
-
-        def dw_tile(i):  # x at each dx row, gy at each tap
-            x_rows = _unfold(xf, p, 1, rows, i)
-            for j in range(k):
-                g_rows = _unfold(gf, p - pad + j, 1, rows, i)
-                np.matmul(g_rows.T, x_rows, out=dw_tiles[i, j])
-
         rf = None if residual is None else _padded(residual, p, exact=True)[0]
         dx = _correlate(gf, p, w.transpose(1, 0, 2)[:, :, ::-1], len(gy), rf=rf,
                         mask=xf if relu_input else None, on_tile=dw_tile)
-        dw = functools.reduce(np.add, dw_tiles)[::-1].transpose(1, 2, 0)
     else:
-        n_threads = _blas_threads(n_tiles, _TILES_PER_THREAD)
-        units = [np.empty((_TILE, k * ci), xf.dtype) for _ in range(n_threads)]
-        dw_tiles = np.empty((n_tiles, k * ci, co), dtype)  # row (j, i)
-
-        def dw_tile(slot, i):
-            u = _unfold(xf, p - pad, k, rows, i, units[slot])
-            np.matmul(u.T, _unfold(gf, p, 1, rows, i), out=dw_tiles[i])
-
-        _run_threads(n_threads, n_tiles, dw_tile)
-        dw, dx = functools.reduce(np.add, dw_tiles).reshape(k, ci, co).transpose(2, 1, 0), None
+        dx = None
+        _run_threads(_blas_threads(n_tiles, _TILES_PER_THREAD), n_tiles,
+                     lambda _, i: dw_tile(i))
+    dw = functools.reduce(np.add, dw_tiles)[::-1].transpose(1, 2, 0)
     return np.ascontiguousarray(dw), gy.sum(axis=(0, 2)), dx
 
 
@@ -596,6 +579,8 @@ def infer_stream(x: LogDiffSeq, p: SpikeNetParams, cfg: SpikeNetConfig,
     large) raises RangeError.
     """
     check_v0(v0_mode, seed)
+    if not chunk >= 1:
+        raise ConfigError("chunk must be >= 1")
     k, h, w = x.data.shape
     pix = x.data.reshape(k, h * w).T  # (H*W, K), a view: _padded copies each block
     if v0_mode == "zero":

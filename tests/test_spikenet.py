@@ -9,7 +9,7 @@ import pytest
 
 from evsynth import cli, spikenet
 from evsynth.core import LogDiffSeq
-from evsynth.errors import FormatError, RangeError, ShapeError
+from evsynth.errors import ConfigError, FormatError, RangeError, ShapeError
 from evsynth.formats import read_evt1
 from evsynth.luminance import log_diff_sequence
 from evsynth.scenegen import SceneSpec, gen_scene
@@ -113,7 +113,7 @@ def test_conv_backward_without_dx_gives_the_same_dw(monkeypatch, ci, k, tile):
     dw, db, _ = conv1d_backward(gy, x, w)
     dw_only, db_only, dx = conv1d_backward(gy, x, w, input_grad=False)
     assert dx is None
-    assert np.allclose(dw_only, dw, rtol=0, atol=1e-12)
+    assert np.array_equal(dw_only, dw)
     assert np.array_equal(db_only, db)
 
 
@@ -670,6 +670,28 @@ def test_conv_tiles_on_threads_match_the_serial_run(monkeypatch, request,
     assert get() == n
 
 
+@pytest.mark.parametrize("input_grad", [True, False], ids=["dx", "no_dx"])
+def test_net_step_under_the_tile_floor_same_bits_at_1_and_2_blas_threads(
+        real_blas_at_2, input_grad):
+    # 16 sequences of 500 ticks, padded by 3: 8096 rows, one full tile and
+    # a short one, under the floor, so each conv runs its tiles on the
+    # caller and OpenBLAS may thread every GEMM; with dx, the input conv's
+    # dx is a one-output-channel k=7 conv
+    _, set_ = real_blas_at_2
+    cfg = SpikeNetConfig()
+    params = noisy_params(cfg, 5, dtype=np.float32)
+    gen = np.random.default_rng(11)
+    x = gen.normal(0, 0.8, (16, 500)).astype(np.float32)
+    g = gen.normal(0, 1, (16, 500)).astype(np.float32)
+    assert -(-16 * 506 // _TILE) < 2 * spikenet._TILES_PER_THREAD
+    steps = []
+    for threads in (1, 2):
+        set_(threads)
+        steps.append(_net_step(x, g, params, cfg, input_grad))
+    for at_2, at_1 in zip(steps[1], steps[0], strict=True):
+        assert at_2.tobytes() == at_1.tobytes()
+
+
 def _wrap_tiles(monkeypatch, wrap):
     """Run each work item of spikenet._run_threads as wrap(work, slot, i)."""
     run = spikenet._run_threads
@@ -740,6 +762,18 @@ def test_conv_backward_folds_residual_and_relu_mask_into_dx(monkeypatch):
     assert np.array_equal(got[0], dw) and np.array_equal(got[1], db)
     assert got[2].tobytes() == ((dx + res) * (x > 0)).tobytes()
     assert (x == 0).any() and (x > 0).any()
+
+
+@pytest.mark.parametrize("chunk", [0, -1, -256])
+def test_infer_stream_rejects_a_chunk_under_1(monkeypatch, chunk):
+    # checked before v0 and the output are made (spikenet.rng draws v0): a
+    # negative chunk ran no chunk and handed out the uninitialised output
+    cfg = small_cfg()
+    params = init_params(cfg, 0)
+    seq = LogDiffSeq(4, 4, 1000.0, np.zeros((20, 4, 4), np.float32))
+    monkeypatch.setattr(spikenet, "rng", None)
+    with pytest.raises(ConfigError, match="chunk"):
+        infer_stream(seq, params, cfg, v0_mode="uniform", chunk=chunk)
 
 
 def test_streaming_uniform_init_mode(rng):
