@@ -18,6 +18,7 @@ reset treated as constant (straight-through).
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import functools
 import struct
@@ -152,9 +153,10 @@ def _padded(x: np.ndarray, pad: int, exact: bool = False):
 
 
 def _tile_rows(xf: np.ndarray, off: int, rows: int, i: int) -> np.ndarray:
-    """Tile i's (_TILE, C) operand: xf's rows from off + i*_TILE on, of
-    which the tile has n = min(_TILE, rows - i*_TILE).  A view of xf for a
-    full tile, a copy with zeros past its n rows for the short last one."""
+    """Tile i's (_TILE, C) operand for the k=1 head's forward (_correlate):
+    xf's rows from off + i*_TILE on, of which the tile has
+    n = min(_TILE, rows - i*_TILE).  A view of xf for a full tile, a copy
+    with zeros past its n rows for the short last one."""
     a = i * _TILE
     n = min(_TILE, rows - a)
     if n == _TILE:
@@ -284,17 +286,22 @@ def conv1d_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray, *,
     ReLU: (dx + residual) * (x > 0), each tile while it is in cache.
 
     dx correlates gy with the kernel transposed and flipped in time (for odd
-    k again 'same').  dw takes one GEMM per tap on each tile: gy's rows
-    shifted by j, transposed, times x's rows give dw[o, :, k-1-j] =
-    sum_s gy[o, s + pad - j] x[:, s].  With dx it runs after each dx tile,
-    while its rows are in cache; without it the tiles run on their own.
-    Every dw GEMM sums over a full _TILE of rows (_tile_rows, a short last
-    tile padded with zeros), so its bits do not depend on the BLAS threads:
-    dw GEMMs over each residue's rows (_residues), 585 deep, gave other
-    bits on OpenBLAS's two threads than on one.  Each tile's dw product has
-    its own slot, and the slots are folded left in tile order, whichever
-    thread ran each tile (a sum over the slots' axis would pair them in an
-    order numpy picks).
+    k again 'same').  dw reads the windows dx reads: gy's window of start s
+    (_residues over gy's buffer, k*Co values from row s - pad on) times x's
+    row s gives every tap's product at once, and the window's tap j holds
+    dw's tap k-1-j, as dw[o, :, k-1-j] = sum_s gy[o, s + pad - j] x[:, s].
+    So each residue m of a tile is one GEMM (k*Co, n_m) @ (n_m, Ci) of a
+    transposed view of gy's buffer and x's rows m, m+k, ... of the tile, a
+    strided view of x's buffer; a short last tile has shorter residues and
+    needs no copy.  With dx it runs after each dx tile, while its rows are
+    in cache; without it the tiles run on their own.  Each tile's residue
+    products are summed in residue order into the tile's own slot, and the
+    slots are folded left in tile order, whichever thread ran each tile (a
+    sum over the slots' axis would pair them in an order numpy picks).
+    Every dw GEMM runs with BLAS at one thread (_one_blas_thread), also on
+    a conv under the tile floor: OpenBLAS's threads split a GEMM's
+    (n_m-deep) sums, which gave other bits on two threads than on one, and
+    ran these GEMMs slower than one thread did.
     """
     co, ci, k = w.shape
     if gy.shape != (len(x), co, x.shape[2]):
@@ -305,13 +312,14 @@ def conv1d_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray, *,
     rows = xf.shape[0] - 2 * p
     n_tiles = -(-rows // _TILE)
     dtype = np.result_type(gy, x)
-    dw_tiles = np.empty((n_tiles, k, co, ci), dtype)  # [i, j]: dw's tap k-1-j
+    dw_tiles = np.empty((n_tiles, k * co, ci), dtype)  # [i, j*Co + o]: dw's tap k-1-j
 
-    def dw_tile(i):  # x at each row, gy at each tap
-        x_rows = _tile_rows(xf, p, rows, i)
-        for j in range(k):
-            g_rows = _tile_rows(gf, p - pad + j, rows, i)
-            np.matmul(g_rows.T, x_rows, out=dw_tiles[i, j])
+    def dw_tile(i):  # gy's windows at each residue, x at their starts
+        a = p + i * _TILE
+        with _one_blas_thread():
+            dw_tiles[i] = functools.reduce(np.add, (
+                windows.T @ xf[a + m::k][:len(windows)]
+                for m, windows in _residues(gf, p - pad, k, rows, i)))
 
     if input_grad:
         rf = None if residual is None else _padded(residual, p, exact=True)[0]
@@ -321,7 +329,7 @@ def conv1d_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray, *,
         dx = None
         _run_threads(_blas_threads(n_tiles, _TILES_PER_THREAD), n_tiles,
                      lambda _, i: dw_tile(i))
-    dw = functools.reduce(np.add, dw_tiles)[::-1].transpose(1, 2, 0)
+    dw = functools.reduce(np.add, dw_tiles).reshape(k, co, ci)[::-1].transpose(1, 2, 0)
     return np.ascontiguousarray(dw), gy.sum(axis=(0, 2)), dx
 
 
@@ -396,6 +404,21 @@ def forward(x, p: SpikeNetParams, cfg: SpikeNetConfig, mode: str = "hard"):
     return (out[0] if squeeze else out), cache
 
 
+def _bptt(gs: np.ndarray, decay: float, dtype) -> np.ndarray:
+    """The (B, K) logit gradients of the membrane recursion, C-contiguous in
+    dtype, for gs (B, K), the spike grads times the surrogate: from the last
+    tick back, d[:, t] = gs[:, t] + decay * d[:, t+1].  The loop runs on
+    gs's time-major copy, one contiguous row per tick."""
+    rows = np.ascontiguousarray(gs.T)
+    d = np.empty(rows.shape, dtype)
+    carry = np.zeros(rows.shape[1], dtype)
+    for t in range(len(rows) - 1, -1, -1):
+        gvp = rows[t] + carry
+        d[t] = gvp
+        carry = decay * gvp
+    return np.ascontiguousarray(d.T)
+
+
 def backward(grad_spikes, cache: ForwardCache, p: SpikeNetParams,
              cfg: SpikeNetConfig, *, input_grad: bool = False):
     """Reverse-mode gradients; returns (param grads, input grad), the input
@@ -414,13 +437,7 @@ def backward(grad_spikes, cache: ForwardCache, p: SpikeNetParams,
 
     # spike head: backprop through time over the membrane recursion
     sg = surrogate_grad(cache.vprime, cfg.lif, cfg.surrogate)
-    decay = cfg.lif.decay
-    dlogits = np.empty_like(cache.logits)
-    carry = np.zeros(g.shape[0], dtype=cache.logits.dtype)
-    for t in range(g.shape[1] - 1, -1, -1):
-        gvp = g[:, t] * sg[:, t] + carry
-        dlogits[:, t] = gvp
-        carry = decay * gvp
+    dlogits = _bptt(g * sg, cfg.lif.decay, cache.logits.dtype)
 
     # each dx leaves its conv through the ReLU that made the conv's input,
     # so it is masked by that input; the inner conv's dx also adds the
@@ -506,16 +523,32 @@ def _blas_threads(n_items: int, floor: int) -> int:
     return max(1, min(blas[0]() if blas else 1, n_items // floor))
 
 
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with OpenBLAS at one thread, and restore its count
+    after; no set call when it already reads 1, or without OpenBLAS."""
+    blas = _openblas()
+    n = blas[0]() if blas else 1
+    if n > 1:
+        blas[1](1)
+    try:
+        yield
+    finally:
+        if n > 1:
+            blas[1](n)
+
+
 def _run_threads(n_threads: int, n_items: int, work) -> None:
     """Run work(slot, i) for each i in range(n_items) on n_threads threads:
     the caller as slot 0 and n_threads - 1 helpers, each taking the next
     item until none is left or one has failed.
 
-    While they run, BLAS is set to one thread, one per item, and its count
-    is restored afterwards.  Each helper runs in a copy of the caller's
-    context, so numpy's error state holds in it as in the caller.  The first
-    error is raised in the caller with its own type, and no helper outlives
-    the call.  slot lets an item use its thread's own buffers.
+    With helpers, BLAS runs at one thread while they run
+    (_one_blas_thread), one per item; on the caller alone it keeps its own
+    threads.  Each helper runs in a copy of the caller's context, so
+    numpy's error state holds in it as in the caller.  The first error is
+    raised in the caller with its own type, and no helper outlives the
+    call.  slot lets an item use its thread's own buffers.
     """
     if n_threads == 1:
         for i in range(n_items):
@@ -535,21 +568,18 @@ def _run_threads(n_threads: int, n_items: int, work) -> None:
         except BaseException as exc:
             errors.append(exc)
 
-    get, set_ = _openblas()
-    blas_threads = get()
-    set_(1)
     helpers = []
-    try:
-        for slot in range(1, n_threads):
-            helper = threading.Thread(target=contextvars.copy_context().run,
-                                      args=(run, slot))
-            helper.start()
-            helpers.append(helper)
-        run(0)
-    finally:
-        for helper in helpers:
-            helper.join()
-        set_(blas_threads)
+    with _one_blas_thread():
+        try:
+            for slot in range(1, n_threads):
+                helper = threading.Thread(target=contextvars.copy_context().run,
+                                          args=(run, slot))
+                helper.start()
+                helpers.append(helper)
+            run(0)
+        finally:
+            for helper in helpers:
+                helper.join()
     if errors:
         raise errors[0]
 

@@ -131,6 +131,41 @@ def test_conv_backward_folds_the_tile_dws_in_tile_order(monkeypatch, input_grad)
     assert dw.tolist() == [[[2.0]]]
 
 
+@pytest.mark.parametrize("input_grad", [True, False], ids=["dx", "no-dx"])
+def test_conv_backward_sums_a_tiles_residue_products_in_residue_order(input_grad):
+    # k=3 over 5 columns: x is 1 at columns 0, 1 and 2, one per residue of
+    # the window starts, so each residue's GEMM is exact. The middle tap
+    # sums gy's big, 1, -big: in residue order 1 meets 2**53 and rounds away.
+    big = 2.0**53
+    x, gy = np.zeros((1, 1, 5)), np.zeros((1, 1, 5))
+    x[0, 0, :3], gy[0, 0, :3] = 1.0, [big, 1, -big]
+    dw, _, _ = conv1d_backward(gy, x, np.ones((1, 1, 3)), input_grad=input_grad)
+    assert dw.tolist() == [[[1 - big, 0.0, big]]]
+
+
+def _bptt_loop(g, sg, decay, dtype):
+    """backward()'s membrane recursion as it ran on (B, K) columns."""
+    dlogits = np.empty(g.shape, dtype)
+    carry = np.zeros(g.shape[0], dtype=dtype)
+    for t in range(g.shape[1] - 1, -1, -1):
+        gvp = g[:, t] * sg[:, t] + carry
+        dlogits[:, t] = gvp
+        carry = decay * gvp
+    return dlogits
+
+
+@pytest.mark.parametrize("g_dtype", [np.float32, np.float64])
+def test_bptt_on_time_major_rows_matches_the_column_loop(g_dtype):
+    gen = np.random.default_rng(12)
+    g = gen.normal(size=(9, 70)).astype(g_dtype)
+    sg = gen.random((9, 70)).astype(np.float32)
+    decay = SpikeNetConfig().lif.decay
+    want = _bptt_loop(g, sg, decay, np.float32)
+    got = spikenet._bptt(g * sg, decay, np.float32)
+    assert got.dtype == np.float32 and got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("tile", [None, _SMALL_TILE], ids=["default", "small"])
 @pytest.mark.parametrize("fill", ["zeros", "noise"])
 @pytest.mark.parametrize("k", [1, 3, 7])
@@ -743,7 +778,9 @@ def test_conv_under_the_tile_floor_runs_on_the_caller(monkeypatch):
     conv1d_backward(y, x, w, relu_input=True)
     conv1d_backward(y, x, w, input_grad=False)
     assert len(ran_on) == 3 * 6 and set(ran_on) == {threading.get_ident()}
-    assert blas.calls == []
+    # the forward keeps OpenBLAS's threads; each dw tile of the two backward
+    # convs runs its GEMMs at one BLAS thread and restores the count
+    assert blas.calls == [1, 2] * 2 * 6 and blas.n == 2
 
 
 def test_conv_backward_folds_residual_and_relu_mask_into_dx(monkeypatch):
