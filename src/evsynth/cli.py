@@ -12,6 +12,7 @@ error, 3 numeric divergence.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 from dataclasses import MISSING, fields
@@ -19,7 +20,7 @@ from pathlib import Path
 
 from . import core, formats, metrics, refsim, scenegen, spikenet, train as train_mod
 from .errors import ConfigError, EvsynthError
-from .luminance import LuminanceConfig, log_diff_sequence
+from .luminance import LuminanceConfig, log_diff_blocks
 from .refsim import RefSimConfig
 from .scenegen import NoiseModel, SceneSpec
 from .spikenet import SpikeNetConfig
@@ -120,13 +121,6 @@ class RunConfig:
         return "\n".join(lines) + "\n"
 
 
-def _out_path(path) -> Path:
-    """An output file's path, with its parent directory created."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def _read_events(path) -> core.EventList:
     path = Path(path)
     if path.suffix == ".csv":
@@ -134,31 +128,49 @@ def _read_events(path) -> core.EventList:
     return formats.read_evt1(path)
 
 
-def _write_events(e: core.EventList, path) -> None:
-    path = _out_path(path)
-    if path.suffix == ".csv":
-        formats.write_csv(e, path)
-    else:
-        formats.write_evt1(e, path)
+def _write_spikes(blocks, path, width: int, height: int, fps: float) -> None:
+    """Append the events of blocks, spike blocks (m, H, W) in tick order, to
+    a CSV file for a .csv path, else to an EVT1 file; both are staged until
+    the last block is written, so a failure writes nothing."""
+    path = Path(path)
+    with (formats.csv_writer(path) if path.suffix == ".csv"
+          else formats.evt1_writer(path, width, height)) as out:
+        t0 = 0
+        for spikes in blocks:
+            # the records of one frame block of ticks at a time
+            for a, b in core.frame_blocks(len(spikes), width * height):
+                out.append(core.spike_records(spikes[a:b], fps, t0 + a))
+            t0 += len(spikes)
+
+
+def _write_text(path, text: str) -> None:
+    with formats._staged(path) as fh:
+        fh.write(text.encode())
 
 
 def cmd_gen(args, cfg: RunConfig) -> None:
-    # both clips are made before either is written, so a failure writes none
-    clean = scenegen.gen_scene(_build(SceneSpec, cfg.values["scene"]))
-    outputs = [(args.out, clean)]
-    if args.noisy_out:
-        noise = _build(NoiseModel, cfg.values["noise"])
-        outputs.append((args.noisy_out, scenegen.add_render_noise(clean, noise)))
-    for path, frames in outputs:
-        formats.write_fseq(frames, _out_path(path))
+    spec = _build(SceneSpec, cfg.values["scene"])
+    noise = _build(NoiseModel, cfg.values["noise"]) if args.noisy_out else None
+    clip = (spec.width, spec.height, spec.n_frames, spec.fps)
+    # both clips are staged until the last block is written, so a failure
+    # writes neither
+    with contextlib.ExitStack() as stack:
+        noisy = (stack.enter_context(formats.fseq_writer(args.noisy_out, *clip))
+                 if noise else None)
+        clean = stack.enter_context(formats.fseq_writer(args.out, *clip))
+        for a, frames in scenegen.render_blocks(spec):
+            clean(frames)
+            if noise:
+                noisy(scenegen.noise_block(frames, a, noise))
 
 
 def cmd_simulate(args, cfg: RunConfig) -> None:
     lum = _build(LuminanceConfig, cfg.values["lum"])
     sim = _build(RefSimConfig, cfg.values["sim"])
-    x = log_diff_sequence(formats.read_fseq(args.input), lum)
-    train_out = refsim.simulate(x, sim)
-    _write_events(core.dense_to_sparse(train_out), args.out)
+    with formats.fseq_reader(args.input) as (width, height, n, fps, frames):
+        xs = log_diff_blocks(frames, n, height, width, lum)
+        blocks = refsim.simulate_blocks(xs, height, width, fps, sim)
+        _write_spikes((spikes for spikes, _ in blocks), args.out, width, height, fps)
 
 
 def cmd_train(args, cfg: RunConfig) -> None:
@@ -186,29 +198,30 @@ def cmd_infer(args, cfg: RunConfig) -> None:
     lum = _build(LuminanceConfig, cfg.values["lum"])
     spikenet.check_v0(cfg["net.v0_mode"], cfg["sim.seed"])
     params, net_cfg = spikenet.load_checkpoint(args.checkpoint)
-    x = log_diff_sequence(formats.read_fseq(args.input), lum)
-    spikes = spikenet.infer_stream(x, params, net_cfg,
-                                   v0_mode=cfg["net.v0_mode"],
-                                   seed=cfg["sim.seed"])
-    _write_events(core.dense_to_sparse(spikes), args.out)
+    with formats.fseq_reader(args.input) as (width, height, n, fps, frames):
+        xs = log_diff_blocks(frames, n, height, width, lum)
+        blocks = spikenet.infer_blocks(xs, n - 1, height, width, params, net_cfg,
+                                       v0_mode=cfg["net.v0_mode"],
+                                       seed=cfg["sim.seed"])
+        _write_spikes(blocks, args.out, width, height, fps)
 
 
 def cmd_eval(args, cfg: RunConfig) -> None:
     rep = metrics.event_distance(_read_events(args.events_a),
                                  _read_events(args.events_b), cfg["eval.fps"])
-    _out_path(args.out).write_text("metric,value\n"
-                                   f"emd,{rep.emd:.8g}\n"
-                                   f"count_ratio,{rep.count_ratio:.8g}\n"
-                                   f"pos_ratio,{rep.pos_ratio:.8g}\n"
-                                   f"neg_ratio,{rep.neg_ratio:.8g}\n"
-                                   f"pixels,{rep.pixels}\n")
+    _write_text(args.out, "metric,value\n"
+                          f"emd,{rep.emd:.8g}\n"
+                          f"count_ratio,{rep.count_ratio:.8g}\n"
+                          f"pos_ratio,{rep.pos_ratio:.8g}\n"
+                          f"neg_ratio,{rep.neg_ratio:.8g}\n"
+                          f"pixels,{rep.pixels}\n")
 
 
 def cmd_hist(args, cfg: RunConfig) -> None:
     e = _read_events(args.input)
     hist = metrics.intensity_histogram(e, cfg["eval.bin_fps"], cfg["eval.buckets"])
     lines = ["bucket,count"] + [f"{i},{c}" for i, c in enumerate(hist.tolist())]
-    _out_path(args.out).write_text("\n".join(lines) + "\n")
+    _write_text(args.out, "\n".join(lines) + "\n")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -293,7 +306,7 @@ def main(argv=None) -> int:
         _COMMANDS[args.command](args, cfg)
         out = Path(args.out)
         run_cfg = (out if out.is_dir() else out.parent) / "run.cfg"
-        _out_path(run_cfg).write_text(f"# evsynth {args.command}\n" + cfg.dump())
+        run_cfg.write_text(f"# evsynth {args.command}\n" + cfg.dump())
         return 0
     except (EvsynthError, OSError, MemoryError) as exc:
         print(f"evsynth: {exc}", file=sys.stderr)

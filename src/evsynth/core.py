@@ -84,17 +84,28 @@ class FrameSeq:
 
     def __post_init__(self):
         self.frames = np.asarray(self.frames, dtype=np.float32)
-        if not (self.width >= 1 and self.height >= 1):
-            raise ValueError(f"frame size {self.width}x{self.height} is empty; "
-                             "width and height must be >= 1")
         if self.frames.ndim != 4 or self.frames.shape[1:] != (self.height, self.width, 3):
             raise ValueError(f"frames shape {self.frames.shape} does not match "
                              f"(n, {self.height}, {self.width}, 3)")
-        if self.frames.shape[0] < 2:
+        self.check_header(self.width, self.height, self.n_frames, self.fps)
+        self.check_values(self.frames)
+
+    @staticmethod
+    def check_header(width: int, height: int, n_frames: int, fps: float) -> None:
+        """The rules on a clip's size and rate, which a stream of its frame
+        blocks checks before the first block."""
+        if not (width >= 1 and height >= 1):
+            raise ValueError(f"frame size {width}x{height} is empty; "
+                             "width and height must be >= 1")
+        if n_frames < 2:
             raise ValueError("need at least 2 frames")
-        check_fps(self.fps)
+        check_fps(fps)
+
+    @staticmethod
+    def check_values(frames: np.ndarray) -> None:
+        """The rule on frame values, for a whole clip or one block of it."""
         # min and max, unlike an isfinite mask, allocate nothing; NaN fails both
-        if not (self.frames.min() >= 0 and self.frames.max() <= F32_MAX):
+        if not (frames.min() >= 0 and frames.max() <= F32_MAX):
             raise ValueError("frame values must be finite and non-negative")
 
     @property
@@ -196,15 +207,23 @@ class VoxelGrid:
         return self.signed.shape[0]
 
 
-def dense_to_sparse(s: SpikeTrain) -> EventList:
-    """One record per nonzero entry; tick k maps to t = round(k*1e6/fps)."""
-    k, y, x = np.nonzero(s.data)  # C-order nonzero == sorted by (k, y, x)
+def spike_records(data: np.ndarray, fps: float, t0: int = 0) -> np.ndarray:
+    """The EVENT_DTYPE records of spikes data (K, H, W) whose first row is
+    tick t0: one per nonzero entry, tick k at t = round(k*1e6/fps), sorted
+    by (k, y, x).  Records of consecutive blocks of a clip, appended in
+    order, are the records of the whole clip."""
+    k, y, x = np.nonzero(data)  # C-order nonzero == sorted by (k, y, x)
     rec = np.empty(k.size, dtype=EVENT_DTYPE)
-    rec["t"] = tick_to_us(k, s.fps)
+    rec["t"] = tick_to_us(k + t0, fps)
     rec["x"] = x
     rec["y"] = y
-    rec["p"] = s.data[k, y, x]
-    return EventList(s.width, s.height, rec)
+    rec["p"] = data[k, y, x]
+    return rec
+
+
+def dense_to_sparse(s: SpikeTrain) -> EventList:
+    """One record per nonzero entry (spike_records)."""
+    return EventList(s.width, s.height, spike_records(s.data, s.fps))
 
 
 def sparse_to_dense(e: EventList, fps: float, k: int) -> SpikeTrain:

@@ -13,6 +13,10 @@ FSEQ (little-endian):
 
 EVT1, FSEQ and spikenet's EVSN share one container rule (_read_container): a
 header of magic and u16 version=1, then a body whose length the header fixes.
+FSEQ is read, and FSEQ, EVT1 and CSV are written, a block at a time, so a
+clip's frames or events need not be held whole.  Every file is written to a
+temporary file beside its path, which replaces the path only when the last
+block is written (_staged): a failed write leaves the path as it was.
 """
 
 from __future__ import annotations
@@ -34,25 +38,78 @@ _FSEQ_HEADER = struct.Struct("<4sHHHIfB")
 _CSV_HEADER = "t_us,x,y,p"
 
 
+@contextlib.contextmanager
+def _staged(path):
+    """Yield a new file beside path, open for writing, which replaces path
+    when the block ends without an error.  Path's missing directories are
+    made first; on an error the file and the directories made for it are
+    removed, and path is left as it was."""
+    path = Path(path)
+    made, d = [], path.parent
+    while not d.exists():
+        made.append(d)
+        d = d.parent
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(tmp, "xb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        for d in made:  # deepest first; one that holds other files stays
+            with contextlib.suppress(OSError):
+                d.rmdir()
+        raise
+
+
 def _write_container(path, header: bytes, *bodies: np.ndarray) -> None:
     """Write header, then each body's bytes in C order, with no joined copy."""
-    with open(path, "wb") as fh:
+    with _staged(path) as fh:
         fh.write(header)
         for body in bodies:
             fh.write(np.ascontiguousarray(body))
 
 
+class _EventSink:
+    """append(rec) writes EVENT_DTYPE records after those before it, as
+    write(rec) puts them in the file; count is the number written, at most
+    limit."""
+
+    def __init__(self, path, write, limit: float):
+        self.path, self.write, self.limit, self.count = path, write, limit, 0
+
+    def append(self, rec: np.ndarray) -> None:
+        if self.count + len(rec) > self.limit:
+            raise RangeError(f"{self.path}: more than {self.limit} events "
+                             "do not fit the file's u32 count")
+        self.write(np.ascontiguousarray(rec, EVENT_DTYPE))
+        self.count += len(rec)
+
+
+@contextlib.contextmanager
+def evt1_writer(path, width: int, height: int):
+    """A staged EVT1 file at path: yields an _EventSink, and writes the
+    count of the records appended into the header when the block ends."""
+    with _staged(path) as fh:
+        fh.write(_EVT1_HEADER.pack(_EVT1_MAGIC, 1, width, height, 0))
+        sink = _EventSink(path, fh.write, 2**32 - 1)
+        yield sink
+        fh.seek(0)
+        fh.write(_EVT1_HEADER.pack(_EVT1_MAGIC, 1, width, height, sink.count))
+
+
 def write_evt1(e: EventList, path) -> None:
-    _write_container(path, _EVT1_HEADER.pack(_EVT1_MAGIC, 1, e.width, e.height, len(e)),
-                     e.records)
+    with evt1_writer(path, e.width, e.height) as out:
+        out.append(e.records)
 
 
 @contextlib.contextmanager
 def _read_container(path, header: struct.Struct, magic: bytes):
     """Open a container file and check its magic and version; yields
     (fields, size, read): the header fields after the version, the body's
-    size in bytes from fstat, and read(arr), which fills arr, sized to the
-    body, from the file and returns it, so the file's bytes are held once.
+    size in bytes from fstat, and read(arr), which fills arr with the next
+    bytes of the body and returns it, so the file's bytes are held once.
     """
     with open(path, "rb") as fh:
         head = fh.read(header.size)
@@ -65,8 +122,8 @@ def _read_container(path, header: struct.Struct, magic: bytes):
             raise FormatError(f"{path}: unsupported version {version}")
         size = os.fstat(fh.fileno()).st_size - header.size
 
-        def read(arr):
-            if fh.readinto(arr) != size:
+        def read(arr):  # the next len(arr) bytes of the body
+            if fh.readinto(arr) != memoryview(arr).nbytes:
                 raise FormatError(f"{path}: file shrank while being read")
             return arr
         yield fields, size, read
@@ -82,12 +139,21 @@ def read_evt1(path) -> EventList:
     return _build_list(path, width, height, rec)
 
 
+@contextlib.contextmanager
+def csv_writer(path):
+    """A staged CSV event file at path: yields an _EventSink."""
+    def write(r):
+        fh.write("".join(f"{t},{x},{y},{p}\n" for t, x, y, p in zip(
+            r["t"].tolist(), r["x"].tolist(), r["y"].tolist(), r["p"].tolist())).encode())
+
+    with _staged(path) as fh:
+        fh.write(f"{_CSV_HEADER}\n".encode())
+        yield _EventSink(path, write, float("inf"))
+
+
 def write_csv(e: EventList, path) -> None:
-    r = e.records
-    lines = [_CSV_HEADER]
-    lines.extend(f"{t},{x},{y},{p}" for t, x, y, p in
-                 zip(r["t"].tolist(), r["x"].tolist(), r["y"].tolist(), r["p"].tolist()))
-    Path(path).write_text("\n".join(lines) + "\n")
+    with csv_writer(path) as out:
+        out.append(e.records)
 
 
 def read_csv(path, width: int | None = None, height: int | None = None) -> EventList:
@@ -123,13 +189,36 @@ def _build_list(path, width, height, rec) -> EventList:
         raise FormatError(f"{path}: {exc}") from None
 
 
+@contextlib.contextmanager
+def fseq_writer(path, width: int, height: int, n_frames: int, fps: float):
+    """A staged FSEQ file at path: yields append(frames), which writes the
+    clip's next (m, height, width, 3) frames; the block must append
+    n_frames frames in all."""
+    with _staged(path) as fh:
+        fh.write(_FSEQ_HEADER.pack(_FSEQ_MAGIC, 1, width, height, n_frames, fps, 3))
+        written = 0
+
+        def append(frames):
+            nonlocal written
+            fh.write(np.ascontiguousarray(frames, "<f4"))
+            written += len(frames)
+        yield append
+        if written != n_frames:
+            raise ValueError(f"{written} frames written of the header's {n_frames}")
+
+
 def write_fseq(f: FrameSeq, path) -> None:
-    header = _FSEQ_HEADER.pack(_FSEQ_MAGIC, 1, f.width, f.height,
-                               f.n_frames, f.fps, 3)
-    _write_container(path, header, f.frames.astype("<f4", copy=False))
+    with fseq_writer(path, f.width, f.height, f.n_frames, f.fps) as append:
+        append(f.frames)
 
 
-def read_fseq(path) -> FrameSeq:
+@contextlib.contextmanager
+def fseq_reader(path):
+    """Open an FSEQ file and check its header as FrameSeq does; yields
+    (width, height, n_frames, fps, frames), where frames(a, b) reads frames
+    a..b-1, the next ones in the file, as (b-a, height, width, 3) float32
+    and checks their values as FrameSeq does.  Either check raises
+    FormatError naming path."""
     with _read_container(path, _FSEQ_HEADER, _FSEQ_MAGIC) as (
             (width, height, n_frames, fps, channels), size, read):
         if channels != 3:
@@ -137,8 +226,26 @@ def read_fseq(path) -> FrameSeq:
         expect = n_frames * height * width * 3 * 4
         if size != expect:
             raise FormatError(f"{path}: expected {expect} payload bytes, got {size}")
-        arr = read(np.empty((n_frames, height, width, 3), "<f4"))
-    try:
-        return FrameSeq(width, height, fps, arr)
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from None
+        try:
+            FrameSeq.check_header(width, height, n_frames, fps)
+        except ValueError as exc:
+            raise FormatError(f"{path}: {exc}") from None
+        at = 0
+
+        def frames(a, b):
+            nonlocal at
+            if a != at:
+                raise ValueError(f"frames {a}..{b - 1} read out of order")
+            arr = read(np.empty((b - a, height, width, 3), "<f4"))
+            try:
+                FrameSeq.check_values(arr)
+            except ValueError as exc:
+                raise FormatError(f"{path}: {exc}") from None
+            at = b
+            return arr
+        yield width, height, n_frames, fps, frames
+
+
+def read_fseq(path) -> FrameSeq:
+    with fseq_reader(path) as (width, height, n_frames, fps, frames):
+        return FrameSeq(width, height, fps, frames(0, n_frames))

@@ -45,19 +45,34 @@ def lin_log(lum, cfg: LuminanceConfig = LuminanceConfig()):
     return out if out.ndim else float(out)
 
 
-def log_diff_sequence(f: FrameSeq, cfg: LuminanceConfig = LuminanceConfig()) -> LogDiffSeq:
-    """Per pixel, X_k = linlog(luma(frame_k)) - linlog(luma(frame_{k-1})).
+def log_diff_blocks(frames, n: int, height: int, width: int,
+                    cfg: LuminanceConfig = LuminanceConfig()):
+    """Yield X_1..X_{n-1} (below) of an n-frame clip in order, as float32
+    (m, height, width) blocks, reading its frames a..b-1 by frames(a, b) in
+    order.
 
     The lin-log frames are float64 and each difference is rounded to float32
     once.  They are made in core.frame_blocks (four float64 values per pixel:
     the RGB copy and its luma), one block plus the frame before it at a time.
     """
+    prev = lin_log(luma(frames(0, 1)[0]), cfg)
+    for a, b in frame_blocks(n, 4 * height * width, start=1):
+        cur = lin_log(luma(frames(a, b)), cfg)
+        diffs = np.empty((b - a, height, width), np.float32)
+        np.subtract(cur[0], prev, out=diffs[0])
+        np.subtract(cur[1:], cur[:-1], out=diffs[1:])
+        # a copy, so the block's lin-log frames are not held through the yield
+        prev, cur = cur[-1].copy(), None
+        yield diffs
+
+
+def log_diff_sequence(f: FrameSeq, cfg: LuminanceConfig = LuminanceConfig()) -> LogDiffSeq:
+    """Per pixel, X_k = linlog(luma(frame_k)) - linlog(luma(frame_{k-1})),
+    from log_diff_blocks."""
     n, h, w, _ = f.frames.shape
-    diffs = np.empty((n - 1, h, w), np.float32)
-    prev = lin_log(luma(f.frames[0]), cfg)
-    for a, b in frame_blocks(n, 4 * h * w, start=1):
-        cur = lin_log(luma(f.frames[a:b]), cfg)
-        np.subtract(cur[0], prev, out=diffs[a - 1])
-        np.subtract(cur[1:], cur[:-1], out=diffs[a:b - 1])
-        prev = cur[-1]
-    return LogDiffSeq(f.width, f.height, f.fps, diffs)
+    out = np.empty((n - 1, h, w), np.float32)
+    k = 0
+    for diffs in log_diff_blocks(lambda a, b: f.frames[a:b], n, h, w, cfg):
+        out[k:k + len(diffs)] = diffs
+        k += len(diffs)
+    return LogDiffSeq(f.width, f.height, f.fps, out)

@@ -62,17 +62,18 @@ def _thresholds(cfg: RefSimConfig, key: np.ndarray) -> np.ndarray:
 
 
 def _simulate_rows(x: np.ndarray, fps: float, cfg: RefSimConfig, key: np.ndarray,
-                   theta_p: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Fold the sensor model over x (K, H, W) given each pixel's hashed
-    (seed, y, x) key; returns the (K, H, W) spikes and leaves the final
-    membrane potentials in v, float64, which x's float32 rows widen into exactly."""
+                   theta_p: np.ndarray, v: np.ndarray, t0: int) -> np.ndarray:
+    """Fold the sensor model over x (K, H, W), ticks t0..t0+K-1 of a clip,
+    given each pixel's hashed (seed, y, x) key; returns the (K, H, W) spikes
+    and leaves the final membrane potentials in v, float64, which x's
+    float32 rows widen into exactly."""
     p_leak = cfg.leak_rate / fps
     p_shot = cfg.shot_rate / fps
     out = np.empty(x.shape, dtype=np.int8)
     for t in range(x.shape[0]):
         v += x[t]
         if p_leak > 0 or p_shot > 0:
-            h = rng.fold(key, t)  # shared by this tick's leak, shot and sign draws
+            h = rng.fold(key, t0 + t)  # shared by this tick's leak, shot and sign draws
         if p_leak > 0:
             hit = rng.unit_uniform(rng.fold(h, _SALT_LEAK)) < p_leak
             v += np.where(hit, theta_p, 0.0)
@@ -87,23 +88,41 @@ def _simulate_rows(x: np.ndarray, fps: float, cfg: RefSimConfig, key: np.ndarray
     return out
 
 
-@np.errstate(over="ignore", invalid="ignore")
+def simulate_blocks(xs, height: int, width: int, fps: float, cfg: RefSimConfig):
+    """Run the sensor model over xs, the (m, H, W) blocks of a log-difference
+    sequence in tick order, with the membrane carried from block to block;
+    yields (spikes, v) per block: its int8 (m, H, W) spikes and the membrane
+    potentials (H, W) after it, an array the next block updates.
+
+    Every draw is keyed by its tick in the whole sequence, so the spikes do
+    not depend on where the blocks split it.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        key = rng.pixel_key(cfg.seed, height, width)
+        theta_p = _thresholds(cfg, key)
+        if cfg.init_mode == "zero":
+            v = np.zeros_like(theta_p)
+        else:
+            v = (2.0 * rng.unit_uniform(rng.fold(key, _SALT_INIT)) - 1.0) * theta_p
+    t0 = 0
+    for x in xs:
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = _simulate_rows(x, fps, cfg, key, theta_p, v, t0)
+        # a non-finite threshold or potential leaves inf or nan in v for good
+        if not np.isfinite(v).all():
+            raise ConfigError("thresholds or membrane potentials overflow; lower theta")
+        t0 += len(x)
+        yield out, v
+
+
 def simulate(x: LogDiffSeq, cfg: RefSimConfig, return_state: bool = False):
-    """Run the sensor model over a LogDiffSeq; returns a SpikeTrain.
+    """Run the sensor model over a LogDiffSeq, as one block of
+    simulate_blocks; returns a SpikeTrain.
 
     With return_state=True also returns the final membrane potentials
     (H, W) -- handy for the conservation identity theta*sum(S) + v = sum(X).
     """
-    key = rng.pixel_key(cfg.seed, x.height, x.width)
-    theta_p = _thresholds(cfg, key)
-    if cfg.init_mode == "zero":
-        v = np.zeros_like(theta_p)
-    else:
-        v = (2.0 * rng.unit_uniform(rng.fold(key, _SALT_INIT)) - 1.0) * theta_p
-    out = _simulate_rows(x.data, x.fps, cfg, key, theta_p, v)
-    # a non-finite threshold or potential leaves inf or nan in v for good
-    if not np.isfinite(v).all():
-        raise ConfigError("thresholds or membrane potentials overflow; lower theta")
+    (out, v), = simulate_blocks([x.data], x.height, x.width, x.fps, cfg)
     train = SpikeTrain(x.width, x.height, x.fps, out)
     return (train, v) if return_state else train
 

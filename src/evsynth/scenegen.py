@@ -146,38 +146,54 @@ def _gray_frames(spec: SceneSpec, ks: np.ndarray) -> np.ndarray:
     return out
 
 
-def gen_scene(spec: SceneSpec) -> FrameSeq:
+def render_blocks(spec: SceneSpec):
     """Render the scene analytically; deterministic in spec (incl. seed).
-    Its core.frame_blocks, of one gray value per pixel, go straight into
-    the float32 RGB output, so float64 is held a block at a time."""
+    Yields (a, frames a..b-1) as float32 RGB (b-a, H, W, 3) in the
+    core.frame_blocks of three values per pixel, the rule of
+    add_render_noise's blocks too, so each stage holds one block."""
     n, h, w = spec.n_frames, spec.height, spec.width
-    frames = np.empty((n, h, w, 3), np.float32)
-    for a, b in frame_blocks(n, h * w):
+    for a, b in frame_blocks(n, 3 * h * w):
         with np.errstate(over="ignore", invalid="ignore"):
             gray = _gray_frames(spec, np.arange(a, b, dtype=np.float64))
         if not np.isfinite(gray).all():
             raise ConfigError("scene motion overflows; lower velocity or spatial_freq")
-        frames[a:b] = gray[..., None]
+        frames = np.empty((b - a, h, w, 3), np.float32)
+        frames[:] = gray[..., None]
+        yield a, frames
+
+
+def gen_scene(spec: SceneSpec) -> FrameSeq:
+    """The scene's whole clip, from render_blocks."""
+    frames = np.empty((spec.n_frames, spec.height, spec.width, 3), np.float32)
+    for a, block in render_blocks(spec):
+        frames[a:a + len(block)] = block
     return FrameSeq(spec.width, spec.height, spec.fps, frames)
 
 
-def add_render_noise(f: FrameSeq, m: NoiseModel) -> FrameSeq:
-    """Multiplicative Gaussian noise, std gain/sqrt(spp), clamped at zero.
+def noise_block(frames: np.ndarray, a: int, m: NoiseModel) -> np.ndarray:
+    """Frames a..a+len(frames)-1 of a clip, float32 (m, H, W, 3), with
+    render noise: multiplicative Gaussian, std gain/sqrt(spp), clamped at
+    zero.
 
     Each noise value is a pure function of (seed, frame, y, x, channel), so
-    frame- or row-partitioned generation is schedule independent.  It runs
-    in core.frame_blocks, at three values per pixel, so its temporaries stay
-    one block's whatever the clip's length.
+    frame- or row-partitioned generation is schedule independent.
     """
     if m.gain == 0.0:
-        return FrameSeq(f.width, f.height, f.fps, f.frames.copy())
+        return frames.copy()
+    nb, h, w, _ = frames.shape
+    z = rng.unit_normal(rng.hash_u64(m.seed, *np.ogrid[a:a + nb, :h, :w, :3], _SALT_NOISE))
+    with np.errstate(over="ignore", invalid="ignore"):
+        noisy = np.maximum(frames.astype(np.float64) * (1.0 + m.sigma * z), 0.0)
+    if not noisy.max() <= F32_MAX:
+        raise ConfigError("render noise overflows float32 frames; lower the gain")
+    return noisy.astype(np.float32)
+
+
+def add_render_noise(f: FrameSeq, m: NoiseModel) -> FrameSeq:
+    """noise_block over the clip in core.frame_blocks, at three values per
+    pixel, so its temporaries stay one block's whatever the clip's length."""
     n, h, w, _ = f.frames.shape
     out = np.empty_like(f.frames)
     for a, b in frame_blocks(n, 3 * h * w):
-        z = rng.unit_normal(rng.hash_u64(m.seed, *np.ogrid[a:b, :h, :w, :3], _SALT_NOISE))
-        with np.errstate(over="ignore", invalid="ignore"):
-            noisy = np.maximum(f.frames[a:b].astype(np.float64) * (1.0 + m.sigma * z), 0.0)
-        if not noisy.max() <= F32_MAX:
-            raise ConfigError("render noise overflows float32 frames; lower the gain")
-        out[a:b] = noisy
+        out[a:b] = noise_block(f.frames[a:b], a, m)
     return FrameSeq(f.width, f.height, f.fps, out)

@@ -462,25 +462,14 @@ def backward(grad_spikes, cache: ForwardCache, p: SpikeNetParams,
     return grads, dx
 
 
-def _infer_rows(xpix: np.ndarray, p: SpikeNetParams, cfg: SpikeNetConfig,
-                v0: np.ndarray, chunk: int, out: np.ndarray) -> None:
-    """Stream pixel block xpix (B, K) through the network in time chunks.
-
-    Each chunk [a, b) runs the full-forward stack on the window
-    [a - halo, b + halo) clipped to [0, K).  'same' padding is exact at the
-    sequence ends, and at an inner window edge its zeros reach only pad ticks
-    further inward per conv, halo ticks in all, so the chunk's own logits
-    equal the full forward's bit for bit.  The membrane carries across chunks.
-    """
-    k_total = xpix.shape[1]
-    halo = receptive_field(cfg) // 2
-    v = v0.astype(xpix.dtype)
-    for a in range(0, k_total, chunk):
-        b = min(a + chunk, k_total)
-        lo = max(a - halo, 0)
-        logits = _conv_stack(xpix[:, lo:min(b + halo, k_total)], p)
-        spikes, _, v = bilif_fold(logits[:, a - lo:b - lo], cfg.lif, v)
-        out[:, a:b] = spikes
+def _infer_rows(xwin: np.ndarray, p: SpikeNetParams, cfg: SpikeNetConfig,
+                skip: int, v: np.ndarray, out: np.ndarray) -> None:
+    """One pixel block's time chunk: the conv stack on its window xwin
+    (B, T), then the fold from membrane v (B,) of the logits at window ticks
+    skip..skip+c-1, c = out.shape[1], whose spikes go into out (B, c) and
+    whose final membrane into v."""
+    logits = _conv_stack(xwin, p)
+    out[:], _, v[:] = bilif_fold(logits[:, skip:skip + out.shape[1]], cfg.lif, v)
 
 
 @functools.cache
@@ -592,46 +581,91 @@ def check_v0(v0_mode: str, seed: int) -> None:
         raise ConfigError("seed must lie in [0, 2**64)")
 
 
-def infer_stream(x: LogDiffSeq, p: SpikeNetParams, cfg: SpikeNetConfig,
-                 v0_mode: str = "zero", seed: int = 0,
-                 chunk: int = 256) -> SpikeTrain:
-    """Windowed streaming inference over a LogDiffSeq.
+def infer_blocks(xs, k: int, height: int, width: int, p: SpikeNetParams,
+                 cfg: SpikeNetConfig, v0_mode: str = "zero", seed: int = 0,
+                 chunk: int = 256):
+    """Windowed streaming inference over xs, the float32 (m, H, W) blocks of
+    a k-tick log-difference sequence in tick order; yields the int8
+    (b - a, H, W) spikes of each time chunk [a, b), a view that the next
+    chunk overwrites.
 
-    Output is bit-identical to running forward() on each pixel's full
-    sequence, whichever y-major block of _BLOCK pixels it runs in (a block
-    may split a row) and whichever thread runs it; memory per pixel stays
-    O(chunk + receptive field).  The membrane carries across chunks.
+    Each chunk runs the full-forward stack on the window [a - halo,
+    b + halo) clipped to [0, k), halo = receptive_field // 2.  'same'
+    padding is exact at the sequence ends, and at an inner window edge its
+    zeros reach only pad ticks further inward per conv, halo ticks in all,
+    so the chunk's own logits equal the full forward's bit for bit.  Only
+    the window's ticks of xs are held, H*W*(chunk + 2*halo) float32.
 
-    The blocks run through _run_threads, on OpenBLAS's thread count capped
-    at two blocks per thread (_blas_threads).  Inside them BLAS reads one
-    thread, so each block's convs run their tiles on its own thread.  A
-    network whose values overflow float32 on x (finite weights can be that
-    large) raises RangeError.
+    A chunk's y-major blocks of _BLOCK pixels (a block may split a row) run
+    through _run_threads, on OpenBLAS's thread count capped at two blocks
+    per thread (_blas_threads), each pixel's membrane carried from chunk to
+    chunk.  Inside them BLAS reads one thread, so each block's convs run
+    their tiles on its own thread.  A pixel's spikes do not depend on its
+    block or thread.  A network whose values overflow float32 on xs (finite
+    weights can be that large) raises RangeError.
     """
     check_v0(v0_mode, seed)
     if not chunk >= 1:
         raise ConfigError("chunk must be >= 1")
-    k, h, w = x.data.shape
-    pix = x.data.reshape(k, h * w).T  # (H*W, K), a view: _padded copies each block
+    n_pix = height * width
     if v0_mode == "zero":
-        v0 = np.zeros(h * w)
+        v0 = np.zeros(n_pix)
     else:
-        u = rng.unit_uniform(rng.fold(rng.pixel_key(seed, h, w), _SALT_V0)).reshape(-1)
-        v0 = (2.0 * u - 1.0) * cfg.lif.v_th
+        u = rng.unit_uniform(rng.fold(rng.pixel_key(seed, height, width), _SALT_V0))
+        v0 = (2.0 * u.reshape(-1) - 1.0) * cfg.lif.v_th
+    # the membrane starts as the window's float32 and folds in the logits'
+    # dtype, which every chunk's logits share
+    v = v0.astype(np.float32).astype(np.result_type(np.float32, *p.tensors()))
+    n_blocks = -(-n_pix // _BLOCK)
+    halo = receptive_field(cfg) // 2
+    win = np.empty((min(k, chunk + 2 * halo), n_pix), np.float32)
+    spikes = np.empty((n_pix, min(k, chunk)), np.int8)
+    xs = iter(xs)
+    piece = win[:0]
+    start = filled = 0  # win[:filled] holds ticks start..start+filled-1
+    for a in range(0, k, chunk):
+        b = min(a + chunk, k)
+        lo, hi = max(a - halo, 0), min(b + halo, k)
+        keep = start + filled - lo  # the window's ticks from lo on, kept
+        win[:keep] = win[filled - keep:filled]
+        start, filled = lo, keep
+        while filled < hi - lo:
+            if not len(piece):
+                piece = next(xs).reshape(-1, n_pix)
+            m = min(len(piece), hi - lo - filled)
+            win[filled:filled + m] = piece[:m]
+            # an empty view would hold its block: the window has a copy
+            piece = piece[m:] if m < len(piece) else win[:0]
+            filled += m
 
-    out = np.empty((h * w, k), dtype=np.int8)
-    n_blocks = -(-h * w // _BLOCK)
+        def block(_, i):
+            rows = slice(i * _BLOCK, (i + 1) * _BLOCK)
+            _infer_rows(win[:filled, rows].T, p, cfg, a - lo, v[rows],
+                        spikes[rows, :b - a])
 
-    def block(_, i):
-        a, b = i * _BLOCK, (i + 1) * _BLOCK
-        _infer_rows(pix[a:b], p, cfg, v0[a:b], chunk, out[a:b])
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                _run_threads(_blas_threads(n_blocks, 2), n_blocks, block)
+        except FloatingPointError:
+            raise RangeError("the network's values overflow float32 on this input") from None
+        yield spikes[:, :b - a].T.reshape(b - a, height, width)
 
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            _run_threads(_blas_threads(n_blocks, 2), n_blocks, block)
-    except FloatingPointError:
-        raise RangeError("the network's values overflow float32 on this input") from None
-    return SpikeTrain(x.width, x.height, x.fps, out.reshape(h, w, k).transpose(2, 0, 1))
+
+def infer_stream(x: LogDiffSeq, p: SpikeNetParams, cfg: SpikeNetConfig,
+                 v0_mode: str = "zero", seed: int = 0,
+                 chunk: int = 256) -> SpikeTrain:
+    """infer_blocks over a whole LogDiffSeq, as one block.
+
+    Output is bit-identical to running forward() on each pixel's full
+    sequence; the membrane carries across chunks.
+    """
+    k, h, w = x.data.shape
+    out = np.empty((k, h, w), np.int8)
+    a = 0
+    for spikes in infer_blocks([x.data], k, h, w, p, cfg, v0_mode, seed, chunk):
+        out[a:a + len(spikes)] = spikes
+        a += len(spikes)
+    return SpikeTrain(x.width, x.height, x.fps, out)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from evsynth.cli import DEFAULTS, RunConfig, main
 from evsynth.errors import ConfigError, FormatError
 from evsynth.spikenet import SpikeNetConfig, SpikeNetParams, init_params
 
-from conftest import traced_peak
+from conftest import fake_blas, traced_peak
 
 
 def run(*argv):
@@ -95,15 +95,24 @@ def test_gen_creates_each_output_directory(tmp_path, capsys):
     assert (tmp_path / "a" / "run.cfg").read_text().startswith("# evsynth gen\n")
 
 
-@pytest.mark.parametrize("gain", ["-1", "1e40"])  # refused, float32 overflow
-def test_gen_writes_nothing_when_the_noisy_copy_fails(tmp_path, capsys, gain):
+@pytest.mark.parametrize("sets", [
+    ["noise.gain=-1"],  # refused
+    ["noise.gain=1e40"],  # float32 overflow
+    # the clean render goes non-finite at frame 180 of 250, blocks after the
+    # first blocks of both clips were written
+    ["scene.kind=grating", "scene.velocity=1e306", "scene.width=64",
+     "scene.height=64", "scene.duration=0.25"],
+], ids=["-1", "1e40", "late-render"])
+def test_gen_writes_nothing_when_the_noisy_copy_fails(tmp_path, capsys, sets):
     out = tmp_path / "g"
-    assert run("gen", "--out", str(out / "c.fseq"), "--noisy-out",
-               str(out / "n.fseq"), "--set", "scene.width=8",
-               "--set", "scene.height=8", "--set", "scene.duration=0.01",
-               "--set", f"noise.gain={gain}") == 1
-    assert capsys.readouterr().err.startswith("evsynth: ")
-    assert not out.exists()
+    size = ["scene.width=8", "scene.height=8", "scene.duration=0.01"]
+    argv = ["gen", "--out", str(out / "c.fseq"), "--noisy-out", str(out / "d" / "n.fseq")]
+    for item in size + sets:
+        argv += ["--set", item]
+    assert run(*argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("evsynth: "), lines
+    assert list(tmp_path.iterdir()) == []  # no clip, temporary file or directory
 
 
 def test_static_scene_simulates_to_zero_events(tmp_path):
@@ -152,6 +161,78 @@ def test_simulate_deterministic_across_worker_counts(tmp_path):
         outs.append(out.read_bytes())
     assert outs[0] == outs[1] == outs[2]
     assert len(formats.read_evt1(tmp_path / "ev_w1.evt1")) > 0
+
+
+@pytest.mark.parametrize("command", ["simulate", "infer"])
+def test_non_finite_frame_in_the_last_block_writes_nothing(tmp_path, capsys,
+                                                           monkeypatch, command):
+    # 3-frame blocks of an 8x8 clip of 20 frames: the NaN is in the last
+    # block, read after the events of the blocks before it were written
+    monkeypatch.setattr(core, "_BLOCK_VALUES", 3 * 4 * 8 * 8)
+    frames = np.random.default_rng(5).uniform(0.1, 1.0, (20, 8, 8, 3))
+    frames[19, 4, 4, 1] = np.nan
+    clip = tmp_path / "clip.fseq"
+    clip.write_bytes(struct.pack("<4sHHHIfB", b"FSEQ", 1, 8, 8, 20, 1000.0, 3)
+                     + frames.astype("<f4").tobytes())
+    ckpt = _fixture_checkpoint(tmp_path)
+    out = tmp_path / "ev.evt1"
+    out.write_bytes(b"old")
+    inputs = [str(clip)] + ([str(ckpt)] if command == "infer" else [])
+    assert run(command, *inputs, "--out", str(out)) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"evsynth: {clip}: frame values must be finite and non-negative"]
+    assert out.read_bytes() == b"old"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["clip.fseq", "ev.evt1", "model.evsn"]
+
+
+def test_event_count_past_u32_exits_2_writing_nothing(tmp_path, capsys, monkeypatch):
+    # the EVT1 writer's running count starts just under its u32 limit
+    real = formats.evt1_writer
+
+    @contextlib.contextmanager
+    def nearly_full(*args):
+        with real(*args) as out:
+            out.count = 2**32 - 1 - 3
+            yield out
+    monkeypatch.setattr(formats, "evt1_writer", nearly_full)
+    fseq = _gen_moving(tmp_path)
+    out = tmp_path / "new" / "ev.evt1"
+    assert run("simulate", str(fseq), "--out", str(out)) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"evsynth: {out}: more than "), lines
+    assert not out.parent.exists()
+
+
+# Traced peaks of a 32x32 clip at 4x the duration against 1x: each command
+# holds one block of frames (and infer one window of chunks), not the clip.
+# 0.3 s is two of infer's 256-tick chunks, so the window is at its full size.
+_PEAK_CLIP = ["--set", "scene.kind=mixed", "--set", "scene.width=32",
+              "--set", "scene.height=32"]
+
+
+def _command_peak(tmp_path, command, duration):
+    clip, noisy = tmp_path / f"c{duration}.fseq", tmp_path / f"n{duration}.fseq"
+    gen = ["gen", "--out", str(clip), "--noisy-out", str(noisy), *_PEAK_CLIP,
+           "--set", f"scene.duration={duration}"]
+    argv = {"gen": gen,
+            "simulate": ["simulate", str(clip), "--out", str(tmp_path / "s.evt1")],
+            "infer": ["infer", str(noisy), str(tmp_path / "m.evsn"),
+                      "--out", str(tmp_path / "i.evt1")]}[command]
+    if command != "gen":
+        assert main(gen) == 0
+    code, peak = traced_peak(main, argv)
+    assert code == 0
+    return peak
+
+
+@pytest.mark.parametrize("command", ["gen", "simulate", "infer"])
+def test_command_peak_does_not_grow_with_the_clip(tmp_path, monkeypatch, command):
+    fake_blas(monkeypatch, None)  # one thread, so the peak is one order's
+    cfg = SpikeNetConfig(channels=4, kernel=3, depth=1)
+    spikenet.save_checkpoint(tmp_path / "m.evsn", init_params(cfg, 1), cfg)
+    short = _command_peak(tmp_path, command, 0.3)
+    long = _command_peak(tmp_path, command, 1.2)
+    assert long < short + 2**19, (short, long)
 
 
 def _fixture_checkpoint(tmp_path, scale=10.0):
@@ -374,9 +455,9 @@ def test_config_checked_before_the_clip_is_read(tmp_path, capsys, monkeypatch,
     clip = _gen_moving(tmp_path)
 
     def no_clip(*args, **kwargs):
-        raise AssertionError("read_fseq ran before the config was checked")
+        raise AssertionError("the clip was opened before the config was checked")
 
-    monkeypatch.setattr(formats, "read_fseq", no_clip)
+    monkeypatch.setattr(formats, "fseq_reader", no_clip)
     inputs = [str(clip)] + ([str(ckpt)] if command == "infer" else [])
     assert run(command, *inputs, "--out", str(tmp_path / "o.evt1"), *bad) == 1
     lines = capsys.readouterr().err.splitlines()

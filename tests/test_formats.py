@@ -5,8 +5,8 @@ import pytest
 
 from evsynth.core import EVENT_DTYPE, FrameSeq
 from evsynth.errors import FormatError, RangeError
-from evsynth.formats import (read_csv, read_evt1, read_fseq, write_csv,
-                             write_evt1, write_fseq)
+from evsynth.formats import (evt1_writer, fseq_writer, read_csv, read_evt1,
+                             read_fseq, write_csv, write_evt1, write_fseq)
 from evsynth.spikenet import (SpikeNetConfig, init_params, load_checkpoint,
                               save_checkpoint)
 
@@ -122,3 +122,33 @@ def test_one_container_rule_for_every_binary_format(tmp_path, rng, fault, messag
         path.write_bytes(fault(path.read_bytes()))
         with pytest.raises(FormatError, match=message):
             read(path)
+
+
+def test_evt1_count_past_u32_is_a_range_error_writing_nothing(tmp_path):
+    # the count is set near EVT1's u32 limit rather than 4 G events written
+    path = tmp_path / "ev.evt1"
+    path.write_bytes(b"old")
+    rec = random_event_list(np.random.default_rng(2), n=5).records
+    with pytest.raises(RangeError, match="u32 count"):
+        with evt1_writer(path, 16, 12) as out:
+            out.append(rec[:2])
+            out.count = 2**32 - 1 - 2
+            out.append(rec[2:4])  # fills the count exactly
+            out.append(rec[4:])
+    assert path.read_bytes() == b"old"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ev.evt1"]
+
+
+def test_event_and_frame_files_appended_in_blocks_equal_whole_writes(tmp_path, rng):
+    ev = random_event_list(rng, n=50)
+    write_evt1(ev, tmp_path / "whole.evt1")
+    with evt1_writer(tmp_path / "blocks.evt1", ev.width, ev.height) as out:
+        for a in range(0, 50, 7):
+            out.append(ev.records[a:a + 7])
+    assert (tmp_path / "blocks.evt1").read_bytes() == (tmp_path / "whole.evt1").read_bytes()
+    seq = FrameSeq(3, 2, 100.0, rng.random((7, 2, 3, 3), dtype=np.float32))
+    write_fseq(seq, tmp_path / "whole.fseq")
+    with fseq_writer(tmp_path / "blocks.fseq", 3, 2, 7, 100.0) as append:
+        for a in range(0, 7, 3):
+            append(seq.frames[a:a + 3])
+    assert (tmp_path / "blocks.fseq").read_bytes() == (tmp_path / "whole.fseq").read_bytes()

@@ -465,8 +465,8 @@ def test_infer_peak_is_two_padded_buffers_per_block(monkeypatch):
     # per thread, h and r of one _BLOCK-pixel block and two channels x _TILE
     # tiles (the conv scratch and the head's transposed tile), with no
     # unfold: the convs read their windows from the buffers; besides, the
-    # int8 output, a quarter of the input's size: the blocks are read from
-    # the input itself, with no pixel-major copy
+    # chunk's window of the input (all 250 ticks here, the input's size)
+    # and two int8 arrays a quarter of it, the chunk's spikes and the output
     fake_blas(monkeypatch, 2)
     cfg = SpikeNetConfig()
     x = log_diff_sequence(gen_scene(SceneSpec("mixed", 64, 64, 1000.0, 0.251, seed=2)))
@@ -477,18 +477,23 @@ def test_infer_peak_is_two_padded_buffers_per_block(monkeypatch):
     assert peak < 2 * (2 * buf + 2 * tile) + 1.5 * x.data.nbytes
 
 
-def _block_threads(monkeypatch, threads):
+def _block_threads(monkeypatch, threads, n_blocks):
     """Run infer_stream's blocks checking that each of threads threads takes
-    a block: each waits at its first until all have one.  Returns the list
-    of the threads that ran each block."""
+    a block of every time chunk: each waits at its first block of a chunk
+    until all have one.  A chunk's n_blocks blocks all run before the next
+    chunk's, so the j-th block run is of chunk j // n_blocks.  Returns the
+    list of the (chunk, thread) that ran each block."""
     barrier = threading.Barrier(threads, timeout=30)
-    ran_on = []
+    ran_on, lock = [], threading.Lock()
     rows = spikenet._infer_rows
 
     def first_waits(*args):
-        if threading.get_ident() not in ran_on:
+        with lock:
+            run = (len(ran_on) // n_blocks, threading.get_ident())
+            first = run not in ran_on
+            ran_on.append(run)
+        if first:
             barrier.wait()
-        ran_on.append(threading.get_ident())
         rows(*args)
     monkeypatch.setattr(spikenet, "_infer_rows", first_waits)
     return ran_on
@@ -502,7 +507,7 @@ def test_infer_blocks_match_forward_on_any_thread_count(monkeypatch, rng, thread
     real_before = real and real[0]()
     blas = fake_blas(monkeypatch, threads)
     monkeypatch.setattr(spikenet, "_BLOCK", 5)
-    ran_on = _block_threads(monkeypatch, threads or 1)
+    ran_on = _block_threads(monkeypatch, threads or 1, 13)
     cfg = SpikeNetConfig(channels=8, kernel=3, depth=1)
     params = noisy_params(cfg, 9, dtype=np.float32)
     seq = LogDiffSeq(9, 7, 1000.0, rng.normal(0, 0.8, (40, 7, 9)).astype(np.float32))
@@ -516,11 +521,14 @@ def test_infer_blocks_match_forward_on_any_thread_count(monkeypatch, rng, thread
     full, _ = forward(seq.pixel_sequences(), params, cfg, mode="hard")
     assert np.array_equal(stream.data, full.reshape(7, 9, 40).transpose(2, 0, 1))
     assert np.abs(stream.data).sum() > 0
-    assert len(ran_on) == 13 and len(set(ran_on)) == (threads or 1)
+    # 3 chunks of 16 ticks, each of 13 blocks on every thread
+    assert len(ran_on) == 3 * 13
+    assert [len({t for c, t in ran_on if c == chunk}) for chunk in range(3)] == \
+        [threads or 1] * 3
     assert threading.active_count() == active
     if threads:
         assert blas.n == threads
-        assert blas.calls == ([1, threads] if threads > 1 else [])
+        assert blas.calls == ([1, threads] * 3 if threads > 1 else [])
     assert (real and real[0]()) == real_before
 
 
@@ -528,7 +536,7 @@ def test_infer_uses_at_most_half_the_block_count_in_threads(monkeypatch, rng):
     # 3 blocks: a second thread would have one block, so the caller runs all
     monkeypatch.setattr(spikenet, "_BLOCK", 5)
     blas = fake_blas(monkeypatch, 4)
-    ran_on = _block_threads(monkeypatch, 1)
+    ran_on = _block_threads(monkeypatch, 1, 3)
     cfg = SpikeNetConfig(channels=4, kernel=3, depth=1)
     seq = LogDiffSeq(5, 3, 1000.0, rng.normal(0, 0.8, (12, 3, 5)).astype(np.float32))
     infer_stream(seq, init_params(cfg, 0), cfg)
