@@ -143,11 +143,6 @@ def _write_spikes(blocks, path, width: int, height: int, fps: float) -> None:
             t0 += len(spikes)
 
 
-def _write_text(path, text: str) -> None:
-    with formats._staged(path) as fh:
-        fh.write(text.encode())
-
-
 def cmd_gen(args, cfg: RunConfig) -> None:
     spec = _build(SceneSpec, cfg.values["scene"])
     noise = _build(NoiseModel, cfg.values["noise"]) if args.noisy_out else None
@@ -209,19 +204,19 @@ def cmd_infer(args, cfg: RunConfig) -> None:
 def cmd_eval(args, cfg: RunConfig) -> None:
     rep = metrics.event_distance(_read_events(args.events_a),
                                  _read_events(args.events_b), cfg["eval.fps"])
-    _write_text(args.out, "metric,value\n"
-                          f"emd,{rep.emd:.8g}\n"
-                          f"count_ratio,{rep.count_ratio:.8g}\n"
-                          f"pos_ratio,{rep.pos_ratio:.8g}\n"
-                          f"neg_ratio,{rep.neg_ratio:.8g}\n"
-                          f"pixels,{rep.pixels}\n")
+    formats.write_text(args.out, "metric,value\n"
+                                 f"emd,{rep.emd:.8g}\n"
+                                 f"count_ratio,{rep.count_ratio:.8g}\n"
+                                 f"pos_ratio,{rep.pos_ratio:.8g}\n"
+                                 f"neg_ratio,{rep.neg_ratio:.8g}\n"
+                                 f"pixels,{rep.pixels}\n")
 
 
 def cmd_hist(args, cfg: RunConfig) -> None:
     e = _read_events(args.input)
     hist = metrics.intensity_histogram(e, cfg["eval.bin_fps"], cfg["eval.buckets"])
     lines = ["bucket,count"] + [f"{i},{c}" for i, c in enumerate(hist.tolist())]
-    _write_text(args.out, "\n".join(lines) + "\n")
+    formats.write_text(args.out, "\n".join(lines) + "\n")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -306,7 +301,7 @@ def main(argv=None) -> int:
         _COMMANDS[args.command](args, cfg)
         out = Path(args.out)
         run_cfg = (out if out.is_dir() else out.parent) / "run.cfg"
-        run_cfg.write_text(f"# evsynth {args.command}\n" + cfg.dump())
+        formats.write_text(run_cfg, f"# evsynth {args.command}\n" + cfg.dump())
         return 0
     except (EvsynthError, OSError, MemoryError) as exc:
         print(f"evsynth: {exc}", file=sys.stderr)

@@ -63,12 +63,9 @@ def _staged(path):
         raise
 
 
-def _write_container(path, header: bytes, *bodies: np.ndarray) -> None:
-    """Write header, then each body's bytes in C order, with no joined copy."""
+def write_text(path, text: str) -> None:
     with _staged(path) as fh:
-        fh.write(header)
-        for body in bodies:
-            fh.write(np.ascontiguousarray(body))
+        fh.write(text.encode())
 
 
 class _EventSink:

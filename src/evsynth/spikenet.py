@@ -21,6 +21,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import functools
+import itertools
 import struct
 import threading
 from dataclasses import dataclass, field
@@ -152,20 +153,6 @@ def _padded(x: np.ndarray, pad: int, exact: bool = False):
     return buf.reshape(-1, c), pad
 
 
-def _tile_rows(xf: np.ndarray, off: int, rows: int, i: int) -> np.ndarray:
-    """Tile i's (_TILE, C) operand for the k=1 head's forward (_correlate):
-    xf's rows from off + i*_TILE on, of which the tile has
-    n = min(_TILE, rows - i*_TILE).  A view of xf for a full tile, a copy
-    with zeros past its n rows for the short last one."""
-    a = i * _TILE
-    n = min(_TILE, rows - a)
-    if n == _TILE:
-        return xf[off + a:off + a + n]
-    u = np.zeros((_TILE, xf.shape[1]), xf.dtype)
-    u[:n] = xf[off + a:off + a + n]
-    return u
-
-
 def _residues(xf: np.ndarray, off: int, k: int, rows: int, i: int):
     """(m, windows) for each residue m of tile i of the window starts
     0..rows-1 over xf: the tile's starts are a = i*_TILE .. a+n-1, with
@@ -205,12 +192,12 @@ def _correlate(xf: np.ndarray, p: int, w: np.ndarray, n_b: int, b=None,
     over its window in tap order, so its value does not depend on the batch,
     the window around it, its GEMM or the thread that computes it.  The k=1
     head's product would be a gemv, whose sum order follows its operand's
-    orientation: it runs as (1, Ci) @ (Ci, _TILE) on a transposed copy of
-    the tile's _tile_rows instead, the orientation its logits have always
-    had.  Rows whose window runs into the next sequence land on pad rows
-    and are zeroed after the last tile.  The tiles run through _run_threads,
-    each with its own GEMMs and epilogue; on_tile(i), when given, then runs
-    on the tile's thread.
+    orientation: it runs as (1, Ci) @ (Ci, _TILE) instead, the orientation
+    its logits have always had, on a copy of the transpose of the tile's one
+    (n, Ci) _residues view, zero in its columns past n.  Rows whose window
+    runs into the next sequence land on pad rows and are zeroed after the
+    last tile.  The tiles run through _run_threads, each with its own GEMMs
+    and epilogue; on_tile(i), when given, then runs on the tile's thread.
     """
     co, ci, k = w.shape
     rows = xf.shape[0] - 2 * p
@@ -233,7 +220,10 @@ def _correlate(xf: np.ndarray, p: int, w: np.ndarray, n_b: int, b=None,
             scratch[slot] = np.empty((_TILE, co), y.dtype)
         s = scratch[slot]
         if co == 1 and k == 1:
-            cols = _tile_rows(xf, off, rows, i).T.copy()
+            (_, view), = _residues(xf, off, k, rows, i)
+            cols = np.empty((ci, _TILE), xf.dtype)
+            cols[:, :n] = view.T
+            cols[:, n:] = 0
             np.matmul(wt.T, cols, out=s.reshape(1, _TILE))
         else:
             for m, windows in _residues(xf, off, k, rows, i):
@@ -620,27 +610,19 @@ def infer_blocks(xs, k: int, height: int, width: int, p: SpikeNetParams,
     halo = receptive_field(cfg) // 2
     win = np.empty((min(k, chunk + 2 * halo), n_pix), np.float32)
     spikes = np.empty((n_pix, min(k, chunk)), np.int8)
-    xs = iter(xs)
-    piece = win[:0]
-    start = filled = 0  # win[:filled] holds ticks start..start+filled-1
+    ticks = itertools.chain.from_iterable(xs)  # each tick an (H, W) view
+    lo = hi = 0  # win[:hi - lo] holds ticks lo..hi-1
     for a in range(0, k, chunk):
         b = min(a + chunk, k)
-        lo, hi = max(a - halo, 0), min(b + halo, k)
-        keep = start + filled - lo  # the window's ticks from lo on, kept
-        win[:keep] = win[filled - keep:filled]
-        start, filled = lo, keep
-        while filled < hi - lo:
-            if not len(piece):
-                piece = next(xs).reshape(-1, n_pix)
-            m = min(len(piece), hi - lo - filled)
-            win[filled:filled + m] = piece[:m]
-            # an empty view would hold its block: the window has a copy
-            piece = piece[m:] if m < len(piece) else win[:0]
-            filled += m
+        prev, lo = lo, max(a - halo, 0)
+        win[:hi - lo] = win[lo - prev:hi - prev]
+        for t in range(hi, min(b + halo, k)):
+            win[t - lo] = next(ticks).reshape(-1)
+        hi = min(b + halo, k)
 
         def block(_, i):
             rows = slice(i * _BLOCK, (i + 1) * _BLOCK)
-            _infer_rows(win[:filled, rows].T, p, cfg, a - lo, v[rows],
+            _infer_rows(win[:hi - lo, rows].T, p, cfg, a - lo, v[rows],
                         spikes[rows, :b - a])
 
         try:
@@ -677,12 +659,12 @@ _EVSN_HEADER = struct.Struct("<4sH6f")
 
 def save_checkpoint(path, p: SpikeNetParams, cfg: SpikeNetConfig) -> None:
     """Write magic, version, config block, then tensors (f32, dims-prefixed)."""
-    header = _EVSN_HEADER.pack(_EVSN_MAGIC, 1, cfg.channels, cfg.kernel, cfg.depth,
-                               cfg.lif.tau, cfg.lif.v_th, cfg.surrogate.alpha)
-    bodies = []  # each tensor's u32 rank and dims, then its f32 data
-    for t in p.tensors():
-        bodies += [np.array([t.ndim, *t.shape], "<u4"), np.asarray(t, "<f4")]
-    formats._write_container(path, header, *bodies)
+    with formats._staged(path) as fh:
+        fh.write(_EVSN_HEADER.pack(_EVSN_MAGIC, 1, cfg.channels, cfg.kernel, cfg.depth,
+                                   cfg.lif.tau, cfg.lif.v_th, cfg.surrogate.alpha))
+        for t in p.tensors():
+            fh.write(np.array([t.ndim, *t.shape], "<u4"))
+            fh.write(np.ascontiguousarray(t, "<f4"))
 
 
 def load_checkpoint(path) -> tuple[SpikeNetParams, SpikeNetConfig]:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import refsim, scenegen, spikenet
+from . import formats, refsim, scenegen, spikenet
 from .core import LogDiffSeq, SpikeTrain
 from .errors import ConfigError, DivergenceError
 from .loss import LossConfig, loss_grad, total_loss
@@ -159,10 +159,6 @@ def train(data: list[DatasetPair], net_cfg: SpikeNetConfig, t_cfg: TrainConfig,
     state = AdamState.for_tensors(params.tensors())
     history = []
 
-    if checkpoint_dir is not None:
-        checkpoint_dir = Path(checkpoint_dir)
-        checkpoint_dir.mkdir(parents=True, exist_ok=True)
-
     for epoch in range(1, t_cfg.epochs + 1):
         order = gen.permutation(train_idx)
         losses = []
@@ -193,7 +189,7 @@ def train(data: list[DatasetPair], net_cfg: SpikeNetConfig, t_cfg: TrainConfig,
             print(f"epoch {epoch:3d}  train {history[-1][1]:.4f}  "
                   f"holdout {hold_loss:.4f}", flush=True)
         if checkpoint_dir is not None:
-            spikenet.save_checkpoint(checkpoint_dir / f"epoch_{epoch:03d}.evsn",
+            spikenet.save_checkpoint(Path(checkpoint_dir) / f"epoch_{epoch:03d}.evsn",
                                      params, net_cfg)
     return params, history
 
@@ -201,4 +197,4 @@ def train(data: list[DatasetPair], net_cfg: SpikeNetConfig, t_cfg: TrainConfig,
 def write_history_csv(history, path) -> None:
     lines = ["epoch,train_loss,holdout_loss"]
     lines += [f"{ep},{tr:.8g},{ho:.8g}" for ep, tr, ho in history]
-    Path(path).write_text("\n".join(lines) + "\n")
+    formats.write_text(path, "\n".join(lines) + "\n")

@@ -51,6 +51,26 @@ def run_cli(blas_threads: int, *args):
     assert proc.returncode == 0, proc.stderr
 
 
+SPLITS = ("whole", "ticks", "uneven")
+_UNEVEN = (3, 1, 17, 2, 64)  # block lengths, cycled
+
+
+def split_ticks(data, split):
+    """data (K, ...) cut along its first axis into consecutive blocks, as a
+    streaming reader may hand them over: one block ("whole"), one tick per
+    block ("ticks"), or blocks of the lengths _UNEVEN in turn ("uneven"),
+    which end inside a chunk's window and may span several windows."""
+    if split == "whole":
+        return [data]
+    if split == "ticks":
+        return list(data[:, None])
+    cuts, a = [], 0
+    while a < len(data):
+        cuts.append(data[a:a + _UNEVEN[len(cuts) % len(_UNEVEN)]])
+        a += len(cuts[-1])
+    return cuts
+
+
 def traced_peak(fn, *args):
     """(fn(*args), the peak bytes allocated during the call beyond what was
     allocated before it), from tracemalloc, which sees numpy's array buffers."""

@@ -4,10 +4,10 @@ import pytest
 from evsynth.core import LogDiffSeq
 from evsynth.luminance import log_diff_sequence
 from evsynth.refsim import (RefSimConfig, naive_baseline,
-                            pixel_thresholds, simulate)
+                            pixel_thresholds, simulate, simulate_blocks)
 from evsynth.scenegen import SceneSpec, gen_scene
 from evsynth.spiking import LifParams
-from conftest import traced_peak
+from conftest import SPLITS, split_ticks, traced_peak
 from lif_oracle import bilif_sequence
 
 
@@ -105,6 +105,20 @@ def test_uniform_init_spreads_first_fire(rng):
     assert fired.any(axis=0).all()
     first = np.argmax(fired, axis=0)
     assert len(np.unique(first)) >= 10
+
+
+@pytest.mark.parametrize("split", SPLITS)
+def test_simulate_blocks_do_not_depend_on_the_split(rng, split):
+    # every draw is keyed by the global tick and the membrane is carried,
+    # so any split of xs gives simulate's spikes and final membrane
+    cfg = RefSimConfig(theta=0.2, init_mode="uniform", leak_rate=40.0,
+                       shot_rate=80.0, seed=7)
+    x = seq(rng.normal(0, 0.1, size=(90, 6, 5)))
+    want, v_want = simulate(x, cfg, return_state=True)
+    spikes, v = zip(*simulate_blocks(split_ticks(x.data, split), 6, 5, x.fps, cfg))
+    assert np.array_equal(np.concatenate(spikes), want.data)
+    assert np.array_equal(v[-1], v_want)
+    assert np.abs(want.data).sum() > 0
 
 
 def test_threshold_mismatch_floor():

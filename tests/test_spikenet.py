@@ -18,7 +18,8 @@ from evsynth.spikenet import (_BLOCK, _TILE, BlockParams, SpikeNetConfig,
                               conv1d_backward, forward, infer_stream, init_params,
                               load_checkpoint, receptive_field, save_checkpoint)
 
-from conftest import FakeBlas, fake_blas, run_cli, traced_peak
+from conftest import (SPLITS, FakeBlas, fake_blas, run_cli, split_ticks,
+                      traced_peak)
 
 
 def small_cfg(**kw):
@@ -429,22 +430,26 @@ _STREAM_CASES = {  # kernel, depth, K, chunk, sensor height and width
 }
 
 
-@pytest.mark.parametrize("kernel,depth,k,chunk,h,w,tile", [
-    pytest.param(*case, tile, id=name + (f"-tile{tile}" if tile else ""))
-    for tile in (None, _SMALL_TILE) for name, case in _STREAM_CASES.items()
+@pytest.mark.parametrize("kernel,depth,k,chunk,h,w,tile,split", [
+    pytest.param(*case, tile, split, id=name + (f"-tile{tile}" if tile else "")
+                 + ("" if split == "whole" else f"-{split}"))
+    for split in SPLITS for tile in (None, _SMALL_TILE)
+    for name, case in _STREAM_CASES.items()
 ])
 def test_streaming_matches_batch_forward(monkeypatch, rng, kernel, depth, k,
-                                         chunk, h, w, tile):
+                                         chunk, h, w, tile, split):
+    # however xs is split into blocks, the chunks are the full forward's
     _set_tile(monkeypatch, tile)
     cfg = SpikeNetConfig(channels=8, kernel=kernel, depth=depth)
     params = noisy_params(cfg, 9, dtype=np.float32)
     data = rng.normal(0, 0.8, size=(k, h, w)).astype(np.float32)
     seq = LogDiffSeq(w, h, 1000.0, data)
-    stream = infer_stream(seq, params, cfg, chunk=chunk)
+    stream = np.concatenate([c.copy() for c in spikenet.infer_blocks(
+        split_ticks(data, split), k, h, w, params, cfg, chunk=chunk)])
     full, _ = forward(seq.pixel_sequences(), params, cfg, mode="hard")
     want = full.reshape(h, w, k).transpose(2, 0, 1)
-    assert np.array_equal(stream.data, want)
-    assert np.abs(stream.data).sum() > 0  # the comparison is not vacuous
+    assert np.array_equal(stream, want)
+    assert np.abs(stream).sum() > 0  # the comparison is not vacuous
 
 
 @pytest.mark.parametrize("tile", [None, _SMALL_TILE], ids=["default", "small"])
