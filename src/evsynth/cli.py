@@ -146,6 +146,8 @@ def _write_spikes(blocks, path, width: int, height: int, fps: float) -> None:
 def cmd_gen(args, cfg: RunConfig) -> None:
     spec = _build(SceneSpec, cfg.values["scene"])
     noise = _build(NoiseModel, cfg.values["noise"]) if args.noisy_out else None
+    if noise and Path(args.noisy_out).resolve() == Path(args.out).resolve():
+        raise ConfigError("--noisy-out and --out name the same file")
     clip = (spec.width, spec.height, spec.n_frames, spec.fps)
     # both clips are staged until the last block is written, so a failure
     # writes neither

@@ -52,13 +52,13 @@ def us_to_tick(t, fps: float) -> np.ndarray:
     return np.floor(np.asarray(t, dtype=np.float64) * fps / US_PER_S + 0.5).astype(np.int64)
 
 
-def frame_blocks(n: int, frame_values: int, start: int = 0):
-    """Blocks (a, b) of whole frames that cover frames start..n-1 once and in
+def frame_blocks(n: int, frame_values: int):
+    """Blocks (a, b) of whole frames that cover frames 0..n-1 once and in
     order, each of at most _BLOCK_VALUES values at frame_values per frame,
     or of one frame when a frame holds more: every clip-sized pass holds one
     such block of temporaries at a time."""
     step = max(1, _BLOCK_VALUES // frame_values)
-    for a in range(start, n, step):
+    for a in range(0, n, step):
         yield a, min(a + step, n)
 
 
@@ -178,8 +178,10 @@ class EventList:
                 raise ValueError("event coordinates exceed sensor dims")
             if not np.isin(r["p"], (-1, 1)).all():
                 raise ValueError("polarities must be +1 or -1")
-            order = np.lexsort((r["x"], r["y"], r["t"]))
-            if not np.array_equal(order, np.arange(r.size)):
+            key = np.left_shift(r["t"], 32, dtype=np.uint64)  # t << 32 | y << 16 | x
+            key |= np.left_shift(r["y"], 16, dtype=np.uint32)
+            key |= r["x"]
+            if (key[1:] < key[:-1]).any():
                 raise ValueError("records not sorted by (t, y, x)")
 
     def __len__(self) -> int:

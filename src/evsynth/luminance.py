@@ -56,8 +56,8 @@ def log_diff_blocks(frames, n: int, height: int, width: int,
     the RGB copy and its luma), one block plus the frame before it at a time.
     """
     prev = lin_log(luma(frames(0, 1)[0]), cfg)
-    for a, b in frame_blocks(n, 4 * height * width, start=1):
-        cur = lin_log(luma(frames(a, b)), cfg)
+    for a, b in frame_blocks(n - 1, 4 * height * width):
+        cur = lin_log(luma(frames(a + 1, b + 1)), cfg)
         diffs = np.empty((b - a, height, width), np.float32)
         np.subtract(cur[0], prev, out=diffs[0])
         np.subtract(cur[1:], cur[:-1], out=diffs[1:])

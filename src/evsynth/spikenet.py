@@ -37,7 +37,7 @@ from .spiking import (LifParams, SurrogateConfig, bilif_fold, soft_bilif,
 _SALT_V0 = 31
 _TILE = 4096  # output rows per conv tile
 _TILES_PER_THREAD = 4  # a conv's tiles per thread, at least (_blas_threads)
-_BLOCK = 128  # pixels per infer_stream block
+_BLOCK = 128  # pixels per infer_blocks block
 # OpenBLAS's thread-count functions, by the names its builds export
 _OPENBLAS_NAMES = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
                    "openblas_{}_num_threads")
@@ -172,9 +172,8 @@ def _residues(xf: np.ndarray, off: int, k: int, rows: int, i: int):
         yield m, flat[start:start + n_m * k * ci].reshape(n_m, k * ci)
 
 
-def _correlate(xf: np.ndarray, p: int, w: np.ndarray, n_b: int, b=None,
-               rf=None, relu: bool = False, mask=None, on_tile=None,
-               into_rf: bool = False) -> np.ndarray:
+def _correlate(xf: np.ndarray, p: int, w: np.ndarray, n_b: int, b=None, rf=None,
+               relu: bool = False, mask=None, into_rf: bool = False) -> np.ndarray:
     """'Same' correlation of a _padded buffer (B*(T+2p), Ci) with (Co, Ci, k).
 
     Returns the (B, Co, T) interior view of a new buffer padded like xf, or
@@ -196,8 +195,7 @@ def _correlate(xf: np.ndarray, p: int, w: np.ndarray, n_b: int, b=None,
     its logits have always had, on a copy of the transpose of the tile's one
     (n, Ci) _residues view, zero in its columns past n.  Rows whose window
     runs into the next sequence land on pad rows and are zeroed after the
-    last tile.  The tiles run through _run_threads, each with its own GEMMs
-    and epilogue; on_tile(i), when given, then runs on the tile's thread.
+    last tile.  The tiles run through _run_threads, each with its epilogue.
     """
     co, ci, k = w.shape
     rows = xf.shape[0] - 2 * p
@@ -240,8 +238,6 @@ def _correlate(xf: np.ndarray, p: int, w: np.ndarray, n_b: int, b=None,
             np.multiply(s, mask[p + a:p + a + n] > 0, out=out)
         else:
             out[:] = s
-        if on_tile is not None:
-            on_tile(i)
 
     _run_threads(n_threads, n_tiles, tile)
     y[:, :p] = 0
@@ -283,15 +279,14 @@ def conv1d_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray, *,
     So each residue m of a tile is one GEMM (k*Co, n_m) @ (n_m, Ci) of a
     transposed view of gy's buffer and x's rows m, m+k, ... of the tile, a
     strided view of x's buffer; a short last tile has shorter residues and
-    needs no copy.  With dx it runs after each dx tile, while its rows are
-    in cache; without it the tiles run on their own.  Each tile's residue
-    products are summed in residue order into the tile's own slot, and the
-    slots are folded left in tile order, whichever thread ran each tile (a
-    sum over the slots' axis would pair them in an order numpy picks).
-    Every dw GEMM runs with BLAS at one thread (_one_blas_thread), also on
-    a conv under the tile floor: OpenBLAS's threads split a GEMM's
-    (n_m-deep) sums, which gave other bits on two threads than on one, and
-    ran these GEMMs slower than one thread did.
+    needs no copy.  The dw tiles run in a pass of their own, after dx, with
+    BLAS at one thread (_one_blas_thread), also under the tile floor:
+    OpenBLAS's threads split a GEMM's (n_m-deep) sums, which gave other bits
+    on two threads than on one, and ran these GEMMs slower than one thread
+    did.  Each tile's residue products are summed in residue order into its
+    own slot, and the slots are folded left in tile order, whichever thread
+    ran each tile (a sum over the slots' axis would pair them in an order
+    numpy picks).
     """
     co, ci, k = w.shape
     if gy.shape != (len(x), co, x.shape[2]):
@@ -304,21 +299,21 @@ def conv1d_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray, *,
     dtype = np.result_type(gy, x)
     dw_tiles = np.empty((n_tiles, k * co, ci), dtype)  # [i, j*Co + o]: dw's tap k-1-j
 
-    def dw_tile(i):  # gy's windows at each residue, x at their starts
-        a = p + i * _TILE
-        with _one_blas_thread():
-            dw_tiles[i] = functools.reduce(np.add, (
-                windows.T @ xf[a + m::k][:len(windows)]
-                for m, windows in _residues(gf, p - pad, k, rows, i)))
-
+    dx = None
     if input_grad:
         rf = None if residual is None else _padded(residual, p, exact=True)[0]
         dx = _correlate(gf, p, w.transpose(1, 0, 2)[:, :, ::-1], len(gy), rf=rf,
-                        mask=xf if relu_input else None, on_tile=dw_tile)
-    else:
-        dx = None
-        _run_threads(_blas_threads(n_tiles, _TILES_PER_THREAD), n_tiles,
-                     lambda _, i: dw_tile(i))
+                        mask=xf if relu_input else None)
+
+    def dw_tile(_, i):  # gy's windows at each residue, x at their starts
+        a = p + i * _TILE
+        dw_tiles[i] = functools.reduce(np.add, (
+            windows.T @ xf[a + m::k][:len(windows)]
+            for m, windows in _residues(gf, p - pad, k, rows, i)))
+
+    n_threads = _blas_threads(n_tiles, _TILES_PER_THREAD)  # before the pin reads 1
+    with _one_blas_thread():
+        _run_threads(n_threads, n_tiles, dw_tile)
     dw = functools.reduce(np.add, dw_tiles).reshape(k, co, ci)[::-1].transpose(1, 2, 0)
     return np.ascontiguousarray(dw), gy.sum(axis=(0, 2)), dx
 
@@ -489,7 +484,7 @@ def _blas_threads(n_items: int, floor: int) -> int:
     least floor items.
 
     Below its floor a helper thread measured slower or larger than the
-    caller alone.  infer_stream's blocks take floor 2: on smaller clips a
+    caller alone.  infer_blocks' pixel blocks take floor 2: on smaller clips a
     helper ran slower and its allocations raised the process's peak.  A
     conv's tiles take _TILES_PER_THREAD = 4, so on 2 threads a conv splits
     from 8 tiles.  On 2 vCPUs a one-step training run at 5 tiles per conv
@@ -564,7 +559,7 @@ def _run_threads(n_threads: int, n_items: int, work) -> None:
 
 
 def check_v0(v0_mode: str, seed: int) -> None:
-    """Raise ConfigError unless infer_stream takes v0_mode and seed."""
+    """Raise ConfigError unless infer_blocks takes v0_mode and seed."""
     if v0_mode not in ("zero", "uniform"):
         raise ConfigError("v0_mode must be 'zero' or 'uniform'")
     if not 0 <= seed < 2**64:

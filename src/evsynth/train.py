@@ -129,7 +129,7 @@ def evaluate_holdout(x: np.ndarray, e: np.ndarray, params: SpikeNetParams,
     """Hard-spike total loss over a pixel set (evaluation mode).
 
     The spikes are forward(x, mode="hard")'s, from the conv stack's no-record
-    path on spikenet._BLOCK pixels at a time, as infer_stream runs them."""
+    path on spikenet._BLOCK pixels at a time, as infer_blocks runs them."""
     n = spikenet._BLOCK
     spikes = [bilif_fold(spikenet._conv_stack(x[a:a + n], params), cfg.lif, 0.0)[0]
               for a in range(0, len(x), n)]

@@ -116,6 +116,18 @@ def test_gen_writes_nothing_when_the_noisy_copy_fails(tmp_path, capsys, sets):
     assert list(tmp_path.iterdir()) == []  # no clip, temporary file or directory
 
 
+def test_gen_refuses_one_file_for_both_clips(tmp_path, monkeypatch, capsys):
+    # both staged writers renamed over the one path, and the noisy clip,
+    # closed last, took the clean clip's place
+    monkeypatch.chdir(tmp_path)
+    assert run("gen", "--out", "a.fseq", "--noisy-out", "./a.fseq",
+               "--set", "scene.width=8", "--set", "scene.height=8",
+               "--set", "scene.duration=0.01") == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("evsynth: "), lines
+    assert list(tmp_path.iterdir()) == []  # no clip, temporary file or run.cfg
+
+
 def test_static_scene_simulates_to_zero_events(tmp_path):
     fseq = tmp_path / "static.fseq"
     assert run("gen", "--out", str(fseq), "--set", "scene.velocity=0",

@@ -86,6 +86,37 @@ def test_event_list_tie_order_is_y_then_x():
         EventList.from_arrays(3, 3, t=[10, 10], x=[1, 0], y=[1, 1], p=[1, 1])
 
 
+def _field(top):
+    """Draws of one record field: few values, so keys tie and the key's bit
+    fields meet at the range's ends, or any value."""
+    return st.sampled_from([0, 1, top]) | st.integers(0, top)
+
+
+@given(st.lists(st.tuples(_field(2**32 - 1), _field(2**16 - 1), _field(2**16 - 1)),
+                max_size=12),
+       st.sampled_from(["drawn", "sorted", "swapped"]), st.integers(0, 100))
+# where y's field meets x's top and t's field meets y's and x's, each way round
+@example([(0, 0, 2**16 - 1), (0, 1, 0)], "drawn", 0)
+@example([(0, 1, 0), (0, 0, 2**16 - 1)], "drawn", 0)
+@example([(0, 2**16 - 1, 2**16 - 1), (1, 0, 0)], "drawn", 0)
+@example([(1, 0, 0), (0, 2**16 - 1, 2**16 - 1)], "drawn", 0)
+def test_event_list_order_check_agrees_with_lexsort(tyx, arrange, j):
+    from evsynth.core import EVENT_DTYPE
+    rec = np.array([(t, x, y, 1) for t, y, x in tyx], EVENT_DTYPE)
+    if arrange != "drawn":
+        rec = rec[np.lexsort((rec["x"], rec["y"], rec["t"]))]
+    if arrange == "swapped" and len(rec) > 1:  # one adjacent pair
+        i = j % (len(rec) - 1)
+        rec[[i, i + 1]] = rec[[i + 1, i]]
+    in_order = np.array_equal(np.lexsort((rec["x"], rec["y"], rec["t"])),
+                              np.arange(len(rec)))
+    if in_order:
+        EventList(2**16, 2**16, rec)
+    else:
+        with pytest.raises(ValueError, match=re.escape("records not sorted by (t, y, x)")):
+            EventList(2**16, 2**16, rec)
+
+
 def test_voxelize_empty():
     from evsynth.core import EVENT_DTYPE
     grid = voxelize(EventList(4, 4, np.empty(0, EVENT_DTYPE)), 1000.0)
@@ -108,15 +139,15 @@ def test_voxelize_conserves_counts(rng):
         assert abs(grid.signed).max() <= grid.unsigned.max()
 
 
-# (n, frame values, start): many frames per block with a short last one, a
-# block of exactly one frame, a 720p RGB frame larger than a block, a start
-# past the first frame, and nothing left to cover
-@pytest.mark.parametrize("n,frame_values,start", [
-    (50, 3 * 64 * 64, 0), (7, _BLOCK_VALUES, 0), (3, 4 * 720 * 1280, 1),
-    (251, 4 * 64 * 64, 1), (2, 1, 2)])
-def test_frame_blocks_cover_the_frames_once_in_order(n, frame_values, start):
-    blocks = list(frame_blocks(n, frame_values, start))
-    assert [f for a, b in blocks for f in range(a, b)] == list(range(start, n))
+# (n, frame values): many frames per block with a short last one, a block
+# of exactly one frame, a 720p RGB frame larger than a block, a lin-log
+# pass's 250 differences, and nothing to cover
+@pytest.mark.parametrize("n,frame_values", [
+    (50, 3 * 64 * 64), (7, _BLOCK_VALUES), (3, 4 * 720 * 1280),
+    (250, 4 * 64 * 64), (0, 1)])
+def test_frame_blocks_cover_the_frames_once_in_order(n, frame_values):
+    blocks = list(frame_blocks(n, frame_values))
+    assert [f for a, b in blocks for f in range(a, b)] == list(range(n))
     for a, b in blocks:
         assert (b - a) * frame_values <= _BLOCK_VALUES or b - a == 1
     # every block but the last holds as many whole frames as fit

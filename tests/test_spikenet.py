@@ -712,7 +712,10 @@ def test_conv_tiles_on_threads_match_the_serial_run(monkeypatch, request,
         sys.setswitchinterval(interval)
     for got, want in zip(threaded, serial, strict=True):
         assert got.tobytes() == want.tobytes()
-    assert len(calls) == 2 * (2 + 2 * cfg.depth)  # every conv, forward and backward
+    # every conv's forward, dx and dw pass, but the input conv's dx without
+    # input_grad
+    convs = 2 + 2 * cfg.depth
+    assert len(calls) == 3 * convs - (0 if input_grad else 1)
     assert all(n_threads == n and len(slots) == n for n_threads, slots in calls)
     assert threading.active_count() == active
     assert get() == n
@@ -790,10 +793,11 @@ def test_conv_under_the_tile_floor_runs_on_the_caller(monkeypatch):
     y = conv1d(x, w, np.zeros(4, np.float32), relu=True)
     conv1d_backward(y, x, w, relu_input=True)
     conv1d_backward(y, x, w, input_grad=False)
-    assert len(ran_on) == 3 * 6 and set(ran_on) == {threading.get_ident()}
-    # the forward keeps OpenBLAS's threads; each dw tile of the two backward
-    # convs runs its GEMMs at one BLAS thread and restores the count
-    assert blas.calls == [1, 2] * 2 * 6 and blas.n == 2
+    # the forward, the dx pass and two dw passes
+    assert len(ran_on) == 4 * 6 and set(ran_on) == {threading.get_ident()}
+    # the forward and dx keep OpenBLAS's threads; each dw pass runs its
+    # GEMMs at one BLAS thread and restores the count
+    assert blas.calls == [1, 2] * 2 and blas.n == 2
 
 
 def test_conv_backward_folds_residual_and_relu_mask_into_dx(monkeypatch):
