@@ -310,5 +310,31 @@ def main(argv=None) -> int:
         return getattr(exc, "exit_code", 2)
 
 
+def _keep_freed_pages() -> None:
+    """Make this process's malloc keep the heap pages it frees mapped.
+
+    By glibc's default a freed block above its dynamic mmap threshold is
+    unmapped and free heap past its trim threshold goes back to the OS, so
+    a loop that frees its arrays faults their pages in again on every pass.
+    Setting either threshold fixes both, so both are set.  Nothing happens
+    where the C library has no mallopt.
+    """
+    import ctypes
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt(-3, 32 * 2**20)  # M_MMAP_THRESHOLD: glibc's 64-bit ceiling
+    mallopt(-1, -1)  # M_TRIM_THRESHOLD: never trim
+
+
+def run() -> int:
+    """The process entry of ``python -m evsynth.cli`` and the ``evsynth``
+    console script: main() under _keep_freed_pages.  Library callers of
+    main() keep their process's allocator policy."""
+    _keep_freed_pages()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -192,10 +192,11 @@ def _correlate(xf: np.ndarray, p: int, w: np.ndarray, n_b: int, b=None, rf=None,
     the window around it, its GEMM or the thread that computes it.  The k=1
     head's product would be a gemv, whose sum order follows its operand's
     orientation: it runs as (1, Ci) @ (Ci, _TILE) instead, the orientation
-    its logits have always had, on a copy of the transpose of the tile's one
-    (n, Ci) _residues view, zero in its columns past n.  Rows whose window
-    runs into the next sequence land on pad rows and are zeroed after the
-    last tile.  The tiles run through _run_threads, each with its epilogue.
+    its logits have always had, on the transpose of the tile's one (n, Ci)
+    _residues view, copied into its thread's (Ci, _TILE) columns, zero past
+    n.  Rows whose window runs into the next sequence land on pad rows and
+    are zeroed after the last tile.  The tiles run through _run_threads,
+    each with its epilogue.
     """
     co, ci, k = w.shape
     rows = xf.shape[0] - 2 * p
@@ -210,6 +211,7 @@ def _correlate(xf: np.ndarray, p: int, w: np.ndarray, n_b: int, b=None, rf=None,
     yf = y.reshape(-1, co)
     # made on each thread's first tile: made up front, they slowed training
     scratch = [None] * n_threads
+    cols = [None] * n_threads  # the head's transposed tiles, made alike
 
     def tile(slot, i):
         a = i * _TILE
@@ -218,11 +220,13 @@ def _correlate(xf: np.ndarray, p: int, w: np.ndarray, n_b: int, b=None, rf=None,
             scratch[slot] = np.empty((_TILE, co), y.dtype)
         s = scratch[slot]
         if co == 1 and k == 1:
+            if cols[slot] is None:
+                cols[slot] = np.empty((ci, _TILE), xf.dtype)
+            c = cols[slot]
             (_, view), = _residues(xf, off, k, rows, i)
-            cols = np.empty((ci, _TILE), xf.dtype)
-            cols[:, :n] = view.T
-            cols[:, n:] = 0
-            np.matmul(wt.T, cols, out=s.reshape(1, _TILE))
+            c[:, :n] = view.T
+            c[:, n:] = 0
+            np.matmul(wt.T, c, out=s.reshape(1, _TILE))
         else:
             for m, windows in _residues(xf, off, k, rows, i):
                 np.matmul(windows, wt, out=s[m:n:k])

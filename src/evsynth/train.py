@@ -176,6 +176,8 @@ def train(data: list[DatasetPair], net_cfg: SpikeNetConfig, t_cfg: TrainConfig,
             new_tensors, state = adam_step(params.tensors(), g_list, state, t_cfg.lr)
             params = SpikeNetParams.from_tensors(new_tensors)
             losses.append(report.total)
+            # the next step's forward runs without this step's arrays
+            del soft, cache, g_spikes, grads, g_list, new_tensors
         if not all(np.isfinite(t).all() for t in params.tensors()):
             raise DivergenceError(f"non-finite weights at epoch {epoch}")
 

@@ -1,4 +1,5 @@
 import contextlib
+import ctypes
 import hashlib
 import io
 import os
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import evsynth
-from evsynth import core, formats, spikenet
+from evsynth import cli, core, formats, spikenet
 from evsynth.cli import DEFAULTS, RunConfig, main
 from evsynth.errors import ConfigError, FormatError
 from evsynth.luminance import log_diff_sequence
@@ -126,6 +127,51 @@ def test_gen_refuses_one_file_for_both_clips(tmp_path, monkeypatch, capsys):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("evsynth: "), lines
     assert list(tmp_path.iterdir()) == []  # no clip, temporary file or run.cfg
+
+
+@pytest.mark.parametrize("libc", ["unloadable", "without_mallopt"])
+def test_keep_freed_pages_is_quiet_without_mallopt(monkeypatch, libc):
+    def cdll(name):
+        if libc == "unloadable":
+            raise OSError("no C library")
+        return object()
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert cli._keep_freed_pages() is None
+
+
+def test_keep_freed_pages_fixes_both_malloc_thresholds(monkeypatch):
+    # M_MMAP_THRESHOLD (-3) at glibc's 32 MiB ceiling, M_TRIM_THRESHOLD (-1)
+    # at -1, no trimming; either alone leaves the other one dynamic
+    calls = []
+
+    class Libc:
+        def mallopt(self, param, value):
+            calls.append((param, value))
+            return 1
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: Libc())
+    cli._keep_freed_pages()
+    assert sorted(calls) == [(-3, 32 * 2**20), (-1, -1)]
+
+
+def test_main_leaves_the_allocator_alone(tmp_path, monkeypatch):
+    # library callers of main, tests and in-process benchmarks among them,
+    # keep their process's malloc policy
+    calls = []
+    monkeypatch.setattr(cli, "_keep_freed_pages", lambda: calls.append(1))
+    assert run("gen", "--out", str(tmp_path / "a.fseq"), "--set", "scene.width=8",
+               "--set", "scene.height=8", "--set", "scene.duration=0.01") == 0
+    assert run("gen") == 1
+    assert calls == []
+
+
+def test_run_keeps_freed_pages_once_before_main(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "_keep_freed_pages", lambda: calls.append("keep"))
+    monkeypatch.setattr(cli, "main", lambda argv=None: calls.append("main") or 3)
+    assert cli.run() == 3
+    assert calls == ["keep", "main"]
 
 
 def test_static_scene_simulates_to_zero_events(tmp_path):

@@ -210,6 +210,33 @@ def test_holdout_peak_is_one_block_of_convs(monkeypatch):
     assert peak < 40 * 2**20
 
 
+def test_a_training_step_holds_one_steps_arrays(monkeypatch):
+    # 4 steps of 64 sequences of 256 ticks.  A step's forward cache is 7
+    # padded conv buffers (2.1 MB each) and the logits; backward adds 3
+    # gradient buffers and a tile, so one step peaks at 1.56 caches.  With
+    # the last step's cache still alive through the next forward, the peak
+    # was 2.11 caches
+    fake_blas(monkeypatch, 2)
+    cfg = SpikeNetConfig()
+    gen = np.random.default_rng(9)
+    k, w, h = 256, 16, 16
+    pair = DatasetPair(
+        LogDiffSeq(w, h, 1000.0, gen.normal(0, 0.5, (k, h, w)).astype(np.float32)),
+        SpikeTrain(w, h, 1000.0, gen.integers(-1, 2, (k, h, w)).astype(np.int8)))
+    tcfg = TrainConfig(epochs=1, batch=64, seed=0, holdout=0.0)
+    x = pair.x.pixel_sequences()
+    _, cache = forward(x[:tcfg.batch], init_params(cfg, 0), cfg, mode="soft")
+    owners = {id(b): b for b in (a if a.base is None else a.base for a in
+                                 [*cache.hs, *cache.rs, cache.logits, cache.vprime])}
+    cache_bytes = sum(b.nbytes for b in owners.values())
+    assert len(owners) == 2 * cfg.depth + 3
+    data_bytes = x.nbytes + pair.e.pixel_sequences().nbytes
+    del cache, owners
+    (_, history), peak = traced_peak(train, [pair], cfg, tcfg)
+    assert np.isfinite(history[0][1])
+    assert peak < data_bytes + 1.75 * cache_bytes
+
+
 def test_divergence_raises():
     pairs = _tiny_dataset()
     tcfg = TrainConfig(epochs=3, batch=32, lr=1e18, clip=1e18, seed=0)
