@@ -121,25 +121,16 @@ class RunConfig:
         return "\n".join(lines) + "\n"
 
 
-def _read_events(path) -> core.EventList:
-    path = Path(path)
-    if path.suffix == ".csv":
-        return formats.read_csv(path)
-    return formats.read_evt1(path)
-
-
 def _write_spikes(blocks, path, width: int, height: int, fps: float) -> None:
     """Append the events of blocks, spike blocks (m, H, W) in tick order, to
-    a CSV file for a .csv path, else to an EVT1 file; both are staged until
-    the last block is written, so a failure writes nothing."""
-    path = Path(path)
-    with (formats.csv_writer(path) if path.suffix == ".csv"
-          else formats.evt1_writer(path, width, height)) as out:
+    the event file at path, staged until the last block is written, so a
+    failure writes nothing."""
+    with formats.events_writer(path, width, height) as append:
         t0 = 0
         for spikes in blocks:
             # the records of one frame block of ticks at a time
             for a, b in core.frame_blocks(len(spikes), width * height):
-                out.append(core.spike_records(spikes[a:b], fps, t0 + a))
+                append(core.spike_records(spikes[a:b], fps, t0 + a))
             t0 += len(spikes)
 
 
@@ -204,8 +195,8 @@ def cmd_infer(args, cfg: RunConfig) -> None:
 
 
 def cmd_eval(args, cfg: RunConfig) -> None:
-    rep = metrics.event_distance(_read_events(args.events_a),
-                                 _read_events(args.events_b), cfg["eval.fps"])
+    rep = metrics.event_distance(formats.read_events(args.events_a),
+                                 formats.read_events(args.events_b), cfg["eval.fps"])
     formats.write_text(args.out, "metric,value\n"
                                  f"emd,{rep.emd:.8g}\n"
                                  f"count_ratio,{rep.count_ratio:.8g}\n"
@@ -215,7 +206,7 @@ def cmd_eval(args, cfg: RunConfig) -> None:
 
 
 def cmd_hist(args, cfg: RunConfig) -> None:
-    e = _read_events(args.input)
+    e = formats.read_events(args.input)
     hist = metrics.intensity_histogram(e, cfg["eval.bin_fps"], cfg["eval.buckets"])
     lines = ["bucket,count"] + [f"{i},{c}" for i, c in enumerate(hist.tolist())]
     formats.write_text(args.out, "\n".join(lines) + "\n")
@@ -300,9 +291,12 @@ def main(argv=None) -> int:
         cfg = _resolve_config(args)
         if args.workers < 1:
             raise ConfigError("--workers must be >= 1")
+        out = Path(args.out)  # train's run directory, else a file
+        run_cfg = (out if args.command == "train" else out.parent) / "run.cfg"
+        for path in (args.out, getattr(args, "noisy_out", None)):
+            if path and Path(path).resolve() == run_cfg.resolve():
+                raise ConfigError(f"{path} is where this run writes run.cfg")
         _COMMANDS[args.command](args, cfg)
-        out = Path(args.out)
-        run_cfg = (out if out.is_dir() else out.parent) / "run.cfg"
         formats.write_text(run_cfg, f"# evsynth {args.command}\n" + cfg.dump())
         return 0
     except (EvsynthError, OSError, MemoryError) as exc:

@@ -14,9 +14,9 @@ FSEQ (little-endian):
 EVT1, FSEQ and spikenet's EVSN share one container rule (_read_container): a
 header of magic and u16 version=1, then a body whose length the header fixes.
 FSEQ is read, and FSEQ, EVT1 and CSV are written, a block at a time, so a
-clip's frames or events need not be held whole.  Every file is written to a
-temporary file beside its path, which replaces the path only when the last
-block is written (_staged): a failed write leaves the path as it was.
+clip's frames or events need not be held whole: each writer yields append.
+Every file is written to a temporary file, which replaces the path only when
+the last block is written (_staged): a failed write changes nothing.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .errors import FormatError, RangeError
 
 _EVT1_MAGIC = b"EVT1"
 _EVT1_HEADER = struct.Struct("<4sHHHI")
+_EVT1_MAX_COUNT = 2**32 - 1  # the header's u32 record count
 _FSEQ_MAGIC = b"FSEQ"
 _FSEQ_HEADER = struct.Struct("<4sHHHIfB")
 _CSV_HEADER = "t_us,x,y,p"
@@ -40,26 +41,24 @@ _CSV_HEADER = "t_us,x,y,p"
 
 @contextlib.contextmanager
 def _staged(path):
-    """Yield a new file beside path, open for writing, which replaces path
-    when the block ends without an error.  Path's missing directories are
-    made first; on an error the file and the directories made for it are
-    removed, and path is left as it was."""
+    """Yield a new file, open for writing, which replaces path when the
+    block ends without an error; on an error only the file is removed.  It
+    is made in the deepest directory of path that exists (path's own when
+    that exists), and path's missing directories are made only on success:
+    a directory not made yet cannot be a mount point, so the file and path
+    are on one file system and the rename is atomic.  Its name keeps at
+    most 200 bytes of path's, whole characters, so it fits in 255."""
     path = Path(path)
-    made, d = [], path.parent
-    while not d.exists():
-        made.append(d)
-        d = d.parent
-    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    d = next(d for d in path.parents if d.exists())
+    name = os.fsencode(path.name)[:200].decode(errors="ignore")
+    tmp = d / f".{name}.{os.urandom(6).hex()}.tmp"
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
         with open(tmp, "xb") as fh:
             yield fh
+        path.parent.mkdir(parents=True, exist_ok=True)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
-        for d in made:  # deepest first; one that holds other files stays
-            with contextlib.suppress(OSError):
-                d.rmdir()
         raise
 
 
@@ -68,37 +67,30 @@ def write_text(path, text: str) -> None:
         fh.write(text.encode())
 
 
-class _EventSink:
-    """append(rec) writes EVENT_DTYPE records after those before it, as
-    write(rec) puts them in the file; count is the number written, at most
-    limit."""
-
-    def __init__(self, path, write, limit: float):
-        self.path, self.write, self.limit, self.count = path, write, limit, 0
-
-    def append(self, rec: np.ndarray) -> None:
-        if self.count + len(rec) > self.limit:
-            raise RangeError(f"{self.path}: more than {self.limit} events "
-                             "do not fit the file's u32 count")
-        self.write(np.ascontiguousarray(rec, EVENT_DTYPE))
-        self.count += len(rec)
-
-
 @contextlib.contextmanager
 def evt1_writer(path, width: int, height: int):
-    """A staged EVT1 file at path: yields an _EventSink, and writes the
-    count of the records appended into the header when the block ends."""
+    """A staged EVT1 file at path: yields append(rec), which writes the
+    EVENT_DTYPE records rec after those before it; their count goes into
+    the header when the block ends."""
     with _staged(path) as fh:
         fh.write(_EVT1_HEADER.pack(_EVT1_MAGIC, 1, width, height, 0))
-        sink = _EventSink(path, fh.write, 2**32 - 1)
-        yield sink
+        count = 0
+
+        def append(rec):
+            nonlocal count
+            if count + len(rec) > _EVT1_MAX_COUNT:
+                raise RangeError(f"{path}: more than {_EVT1_MAX_COUNT} events "
+                                 "do not fit the file's u32 count")
+            fh.write(np.ascontiguousarray(rec, EVENT_DTYPE))
+            count += len(rec)
+        yield append
         fh.seek(0)
-        fh.write(_EVT1_HEADER.pack(_EVT1_MAGIC, 1, width, height, sink.count))
+        fh.write(_EVT1_HEADER.pack(_EVT1_MAGIC, 1, width, height, count))
 
 
 def write_evt1(e: EventList, path) -> None:
-    with evt1_writer(path, e.width, e.height) as out:
-        out.append(e.records)
+    with evt1_writer(path, e.width, e.height) as append:
+        append(e.records)
 
 
 @contextlib.contextmanager
@@ -138,19 +130,19 @@ def read_evt1(path) -> EventList:
 
 @contextlib.contextmanager
 def csv_writer(path):
-    """A staged CSV event file at path: yields an _EventSink."""
-    def write(r):
-        fh.write("".join(f"{t},{x},{y},{p}\n" for t, x, y, p in zip(
-            r["t"].tolist(), r["x"].tolist(), r["y"].tolist(), r["p"].tolist())).encode())
-
+    """A staged CSV event file at path: yields append(rec), as evt1_writer does."""
     with _staged(path) as fh:
         fh.write(f"{_CSV_HEADER}\n".encode())
-        yield _EventSink(path, write, float("inf"))
+
+        def append(rec):
+            fh.write("".join(f"{t},{x},{y},{p}\n" for t, x, y, p in zip(
+                *(rec[f].tolist() for f in "txyp"))).encode())
+        yield append
 
 
 def write_csv(e: EventList, path) -> None:
-    with csv_writer(path) as out:
-        out.append(e.records)
+    with csv_writer(path) as append:
+        append(e.records)
 
 
 def read_csv(path, width: int | None = None, height: int | None = None) -> EventList:
@@ -175,6 +167,19 @@ def read_csv(path, width: int | None = None, height: int | None = None) -> Event
     if height is None:
         height = int(rec["y"].max()) + 1 if rec.size else 1
     return _build_list(path, width, height, rec)
+
+
+def _is_csv(path) -> bool:  # an event file is CSV for a .csv path, else EVT1
+    return Path(path).suffix == ".csv"
+
+
+def read_events(path) -> EventList:
+    return read_csv(path) if _is_csv(path) else read_evt1(path)
+
+
+def events_writer(path, width: int, height: int):
+    """A staged event file at path: csv_writer's or evt1_writer's append."""
+    return csv_writer(path) if _is_csv(path) else evt1_writer(path, width, height)
 
 
 def _build_list(path, width, height, rec) -> EventList:

@@ -190,13 +190,13 @@ def _correlate(xf: np.ndarray, p: int, w: np.ndarray, n_b: int, b=None, rf=None,
     into the residue's rows of the scratch.  Each output is one dot product
     over its window in tap order, so its value does not depend on the batch,
     the window around it, its GEMM or the thread that computes it.  The k=1
-    head's product would be a gemv, whose sum order follows its operand's
-    orientation: it runs as (1, Ci) @ (Ci, _TILE) instead, the orientation
-    its logits have always had, on the transpose of the tile's one (n, Ci)
-    _residues view, copied into its thread's (Ci, _TILE) columns, zero past
-    n.  Rows whose window runs into the next sequence land on pad rows and
-    are zeroed after the last tile.  The tiles run through _run_threads,
-    each with its epilogue.
+    head's (n, Ci) @ (Ci, 1) would be a gemv summing a row's products in an
+    order set by the row's place in the operand, so a logit would change with
+    the batch and the tile split.  It runs as (1, Ci) @ (Ci, _TILE), where it
+    does not, on the tile's one (n, Ci) _residues view transposed into its
+    thread's (Ci, _TILE) columns, zero past n.  Rows whose window runs into the
+    next sequence land on pad rows and are zeroed after the last tile.  The
+    tiles run through _run_threads, each with its epilogue.
     """
     co, ci, k = w.shape
     rows = xf.shape[0] - 2 * p

@@ -129,6 +129,25 @@ def test_gen_refuses_one_file_for_both_clips(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []  # no clip, temporary file or run.cfg
 
 
+@pytest.mark.parametrize("flag", ["--out", "--noisy-out", "simulate"])
+def test_an_output_named_as_the_run_cfg_exits_1_writing_nothing(tmp_path, capsys,
+                                                                 monkeypatch, flag):
+    # main writes run.cfg beside --out after the command, over its output
+    clip = _gen_moving(tmp_path)
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "run.cfg").write_text("old")
+    argv = {"--out": ["gen", "--out", "o/run.cfg"],
+            "--noisy-out": ["gen", "--out", "o/c.fseq", "--noisy-out", "o/run.cfg"],
+            "simulate": ["simulate", str(clip), "--out", str(out / "run.cfg")]}[flag]
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv, "--set", "scene.width=8", "--set", "scene.height=8") == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("evsynth: "), lines
+    assert [p.name for p in out.iterdir()] == ["run.cfg"]
+    assert (out / "run.cfg").read_text() == "old"
+
+
 @pytest.mark.parametrize("libc", ["unloadable", "without_mallopt"])
 def test_keep_freed_pages_is_quiet_without_mallopt(monkeypatch, libc):
     def cdll(name):
@@ -245,16 +264,9 @@ def test_non_finite_frame_in_the_last_block_writes_nothing(tmp_path, capsys,
 
 
 def test_event_count_past_u32_exits_2_writing_nothing(tmp_path, capsys, monkeypatch):
-    # the EVT1 writer's running count starts just under its u32 limit
-    real = formats.evt1_writer
-
-    @contextlib.contextmanager
-    def nearly_full(*args):
-        with real(*args) as out:
-            out.count = 2**32 - 1 - 3
-            yield out
-    monkeypatch.setattr(formats, "evt1_writer", nearly_full)
+    # the EVT1 writer's limit is lowered from its u32 count's 2**32 - 1 to 3
     fseq = _gen_moving(tmp_path)
+    monkeypatch.setattr(formats, "_EVT1_MAX_COUNT", 3)
     out = tmp_path / "new" / "ev.evt1"
     assert run("simulate", str(fseq), "--out", str(out)) == 2
     lines = capsys.readouterr().err.splitlines()

@@ -3,10 +3,12 @@ import struct
 import numpy as np
 import pytest
 
+from evsynth import formats
 from evsynth.core import EVENT_DTYPE, FrameSeq
 from evsynth.errors import FormatError, RangeError
 from evsynth.formats import (evt1_writer, fseq_writer, read_csv, read_evt1,
-                             read_fseq, write_csv, write_evt1, write_fseq)
+                             read_events, read_fseq, write_csv, write_evt1,
+                             write_fseq)
 from evsynth.spikenet import (SpikeNetConfig, init_params, load_checkpoint,
                               save_checkpoint)
 
@@ -124,17 +126,18 @@ def test_one_container_rule_for_every_binary_format(tmp_path, rng, fault, messag
             read(path)
 
 
-def test_evt1_count_past_u32_is_a_range_error_writing_nothing(tmp_path):
-    # the count is set near EVT1's u32 limit rather than 4 G events written
+def test_evt1_count_past_u32_is_a_range_error_writing_nothing(tmp_path, monkeypatch):
+    # the limit is lowered from EVT1's u32 2**32 - 1 rather than 4 G events
+    # written; set after the first append, it leaves room for two more
     path = tmp_path / "ev.evt1"
     path.write_bytes(b"old")
     rec = random_event_list(np.random.default_rng(2), n=5).records
     with pytest.raises(RangeError, match="u32 count"):
-        with evt1_writer(path, 16, 12) as out:
-            out.append(rec[:2])
-            out.count = 2**32 - 1 - 2
-            out.append(rec[2:4])  # fills the count exactly
-            out.append(rec[4:])
+        with evt1_writer(path, 16, 12) as append:
+            append(rec[:2])
+            monkeypatch.setattr(formats, "_EVT1_MAX_COUNT", 4)
+            append(rec[2:4])  # fills the count exactly
+            append(rec[4:])
     assert path.read_bytes() == b"old"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ev.evt1"]
 
@@ -142,9 +145,9 @@ def test_evt1_count_past_u32_is_a_range_error_writing_nothing(tmp_path):
 def test_event_and_frame_files_appended_in_blocks_equal_whole_writes(tmp_path, rng):
     ev = random_event_list(rng, n=50)
     write_evt1(ev, tmp_path / "whole.evt1")
-    with evt1_writer(tmp_path / "blocks.evt1", ev.width, ev.height) as out:
+    with evt1_writer(tmp_path / "blocks.evt1", ev.width, ev.height) as append:
         for a in range(0, 50, 7):
-            out.append(ev.records[a:a + 7])
+            append(ev.records[a:a + 7])
     assert (tmp_path / "blocks.evt1").read_bytes() == (tmp_path / "whole.evt1").read_bytes()
     seq = FrameSeq(3, 2, 100.0, rng.random((7, 2, 3, 3), dtype=np.float32))
     write_fseq(seq, tmp_path / "whole.fseq")
@@ -152,3 +155,57 @@ def test_event_and_frame_files_appended_in_blocks_equal_whole_writes(tmp_path, r
         for a in range(0, 7, 3):
             append(seq.frames[a:a + 3])
     assert (tmp_path / "blocks.fseq").read_bytes() == (tmp_path / "whole.fseq").read_bytes()
+
+
+def test_staging_makes_no_directory_before_it_succeeds(tmp_path, rng):
+    # a/b is made only after the block: the temporary file goes in tmp_path,
+    # the deepest directory of the path that exists
+    ev = random_event_list(rng, n=20)
+    path = tmp_path / "a" / "b" / "x.evt1"
+
+    def write(fail):
+        with evt1_writer(path, ev.width, ev.height) as append:
+            append(ev.records)
+            assert not (tmp_path / "a").exists()
+            [tmp] = tmp_path.iterdir()
+            assert tmp.is_file() and tmp.name.startswith(".x.evt1.")
+            if fail:
+                raise RuntimeError("late")
+    with pytest.raises(RuntimeError, match="late"):
+        write(fail=True)
+    assert list(tmp_path.iterdir()) == []
+    write(fail=False)
+    assert [p.name for p in tmp_path.iterdir()] == ["a"]
+    assert [p.name for p in path.parent.iterdir()] == ["x.evt1"]
+    assert np.array_equal(read_evt1(path).records, ev.records)
+
+
+@pytest.mark.parametrize("name", ["a" * 250 + ".evt1", "€" * 83 + ".evt1",
+                                  "é" * 124 + ".csv"],
+                         ids=["ascii-255", "3-byte-254", "2-byte-252"])
+def test_an_output_name_of_up_to_255_bytes_is_written(tmp_path, rng, name):
+    # the temporary file's name keeps at most 200 bytes of the output's,
+    # cut at a character, so its own name fits in 255 bytes
+    ev = random_event_list(rng, n=20)
+    path = tmp_path / name
+    with formats.events_writer(path, ev.width, ev.height) as append:
+        append(ev.records)
+        [tmp] = tmp_path.iterdir()
+        assert len(tmp.name.encode()) <= 255  # strict UTF-8: whole characters
+        assert name.startswith(tmp.name[1:-17])  # .<kept>.<12 hex>.tmp
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+    assert np.array_equal(read_events(path).records, ev.records)
+
+
+def test_the_event_format_follows_the_suffix(tmp_path, rng):
+    ev = random_event_list(rng, n=30)
+    write_csv(ev, tmp_path / "whole.csv")
+    write_evt1(ev, tmp_path / "whole.evt1")
+    for suffix in ("csv", "evt1", "events"):
+        path = tmp_path / f"blocks.{suffix}"
+        with formats.events_writer(path, ev.width, ev.height) as append:
+            for a in range(0, 30, 8):
+                append(ev.records[a:a + 8])
+        whole = tmp_path / ("whole.csv" if suffix == "csv" else "whole.evt1")
+        assert path.read_bytes() == whole.read_bytes()
+        assert np.array_equal(read_events(path).records, ev.records)
