@@ -171,10 +171,15 @@ def cmd_train(args, cfg: RunConfig) -> None:
               for i, k in enumerate(kinds)]
     net_cfg = _build(SpikeNetConfig, cfg.values["net"])
     t_cfg = _build(train_mod.TrainConfig, cfg.values["train"])
+    # the run directory, or its deepest existing ancestor, must be a
+    # directory, or the first checkpoint fails only after an epoch of work
+    out_dir = Path(args.out)
+    d = next(d for d in (out_dir, *out_dir.parents) if d.exists())
+    if not d.is_dir():
+        raise ConfigError(f"--out {args.out}: {d} is not a directory")
     data = train_mod.make_dataset(scenes, _build(NoiseModel, cfg.values["noise"]),
                                   _build(RefSimConfig, cfg.values["sim"]),
                                   _build(LuminanceConfig, cfg.values["lum"]))
-    out_dir = Path(args.out)
     params, history = train_mod.train(data, net_cfg, t_cfg,
                                       checkpoint_dir=out_dir,
                                       verbose=args.verbose)
@@ -296,6 +301,11 @@ def main(argv=None) -> int:
         for path in (args.out, getattr(args, "noisy_out", None)):
             if path and Path(path).resolve() == run_cfg.resolve():
                 raise ConfigError(f"{path} is where this run writes run.cfg")
+        written = {out.resolve(): f"--out {args.out}", run_cfg.resolve(): "run.cfg"}
+        for name in ("input", "checkpoint", "events_a", "events_b"):
+            path = getattr(args, name, None)
+            if path and (what := written.get(Path(path).resolve())):
+                raise ConfigError(f"{what} names this run's input {path}")
         _COMMANDS[args.command](args, cfg)
         formats.write_text(run_cfg, f"# evsynth {args.command}\n" + cfg.dump())
         return 0

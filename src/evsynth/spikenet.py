@@ -173,16 +173,17 @@ def _residues(xf: np.ndarray, off: int, k: int, rows: int, i: int):
 
 
 def _correlate(xf: np.ndarray, p: int, w: np.ndarray, n_b: int, b=None, rf=None,
-               relu: bool = False, mask=None, into_rf: bool = False) -> np.ndarray:
+               relu: bool = False, mask=None, into=None) -> np.ndarray:
     """'Same' correlation of a _padded buffer (B*(T+2p), Ci) with (Co, Ci, k).
 
     Returns the (B, Co, T) interior view of a new buffer padded like xf, or
-    with into_rf of rf's own buffer, which the result overwrites tile by
-    tile.  Each tile of _TILE output rows is computed into its thread's
-    (_TILE, Co) scratch, which gets the bias b and the residual rf (a buffer
-    laid out like the output); the last step writes the output's row block:
-    the ReLU, or the product with (mask > 0) for a buffer mask laid out like
-    the output (never both), or a copy.
+    of into, a buffer laid out like the output, which the result overwrites
+    tile by tile.  Each tile of _TILE output rows is computed into its
+    thread's (_TILE, Co) scratch, which gets the bias b and the residual rf
+    (a buffer laid out like the output); the last step writes the output's
+    row block: the ReLU, or the product with (mask > 0) for a buffer mask
+    laid out like the output (never both), or a copy.  A tile reads only its
+    own rows of rf and mask, so either may be into.
 
     The output at buffer row p + s is the window of start p - pad + s (see
     _residues) times the kernel as a (k*Ci, Co) matrix, so each of a tile's
@@ -204,8 +205,8 @@ def _correlate(xf: np.ndarray, p: int, w: np.ndarray, n_b: int, b=None, rf=None,
     wt = w.transpose(2, 1, 0).reshape(k * ci, co)  # tap-major, like a window
     n_tiles = -(-rows // _TILE)
     n_threads = _blas_threads(n_tiles, _TILES_PER_THREAD)
-    if into_rf:
-        y = rf.reshape(n_b, -1, co)
+    if into is not None:
+        y = into.reshape(n_b, -1, co)
     else:  # 3-D, as _padded recognises a buffer by its base's shape
         y = np.empty((n_b, xf.shape[0] // n_b, co), np.result_type(xf, w))
     yf = y.reshape(-1, co)
@@ -264,12 +265,12 @@ def conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray, *, residual=None,
     rf = None if residual is None else _padded(residual, p, exact=True)[0]
     if inplace and (rf is None or np.may_share_memory(rf, xf)):
         raise ValueError("inplace needs a residual whose buffer is not x's")
-    return _correlate(xf, p, w, len(x), b, rf, relu, into_rf=inplace)
+    return _correlate(xf, p, w, len(x), b, rf, relu, into=rf if inplace else None)
 
 
 def conv1d_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray, *,
                     input_grad: bool = True, residual=None,
-                    relu_input: bool = False):
+                    relu_input: bool = False, inplace: bool = False):
     """Gradients (dw, db, dx) of conv1d for upstream grad gy (B, Co, T);
     dx is None unless input_grad.  dx gets residual (B, Ci, T) added, and
     with relu_input, where x is a ReLU's output, is taken on through that
@@ -283,14 +284,20 @@ def conv1d_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray, *,
     So each residue m of a tile is one GEMM (k*Co, n_m) @ (n_m, Ci) of a
     transposed view of gy's buffer and x's rows m, m+k, ... of the tile, a
     strided view of x's buffer; a short last tile has shorter residues and
-    needs no copy.  The dw tiles run in a pass of their own, after dx, with
-    BLAS at one thread (_one_blas_thread), also under the tile floor:
-    OpenBLAS's threads split a GEMM's (n_m-deep) sums, which gave other bits
-    on two threads than on one, and ran these GEMMs slower than one thread
-    did.  Each tile's residue products are summed in residue order into its
-    own slot, and the slots are folded left in tile order, whichever thread
-    ran each tile (a sum over the slots' axis would pair them in an order
-    numpy picks).
+    needs no copy.  The dw tiles run in a pass of their own, before db and
+    dx, with BLAS at one thread (_one_blas_thread), also under the tile
+    floor: OpenBLAS's threads split a GEMM's (n_m-deep) sums, which gave
+    other bits on two threads than on one, and ran these GEMMs slower than
+    one thread did.  Each tile's residue products are summed in residue
+    order into its own slot, and the slots are folded left in tile order,
+    whichever thread ran each tile (a sum over the slots' axis would pair
+    them in an order numpy picks).
+
+    With inplace, dx overwrites x's padded buffer (or its padded copy),
+    which dw has read by then: a dx tile reads gy's windows, the residual's
+    rows and the mask rows it overwrites, no other row of x.  It raises
+    ValueError unless dx has x's dtype and gy and residual lie apart from
+    x's buffer.
     """
     co, ci, k = w.shape
     if gy.shape != (len(x), co, x.shape[2]):
@@ -298,16 +305,17 @@ def conv1d_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray, *,
     pad = (k - 1) // 2
     xf, p = _padded(x, pad)
     gf, _ = _padded(gy, p, exact=True)  # laid out like xf, row for row
+    rf = (_padded(residual, p, exact=True)[0]
+          if input_grad and residual is not None else None)
+    if input_grad and inplace and (
+            np.result_type(gf, w) != xf.dtype or np.may_share_memory(gf, xf)
+            or (rf is not None and np.may_share_memory(rf, xf))):
+        raise ValueError("inplace needs dx in x's dtype, and gy and residual "
+                         "apart from x's buffer")
     rows = xf.shape[0] - 2 * p
     n_tiles = -(-rows // _TILE)
     dtype = np.result_type(gy, x)
     dw_tiles = np.empty((n_tiles, k * co, ci), dtype)  # [i, j*Co + o]: dw's tap k-1-j
-
-    dx = None
-    if input_grad:
-        rf = None if residual is None else _padded(residual, p, exact=True)[0]
-        dx = _correlate(gf, p, w.transpose(1, 0, 2)[:, :, ::-1], len(gy), rf=rf,
-                        mask=xf if relu_input else None)
 
     def dw_tile(_, i):  # gy's windows at each residue, x at their starts
         a = p + i * _TILE
@@ -319,7 +327,14 @@ def conv1d_backward(gy: np.ndarray, x: np.ndarray, w: np.ndarray, *,
     with _one_blas_thread():
         _run_threads(n_threads, n_tiles, dw_tile)
     dw = functools.reduce(np.add, dw_tiles).reshape(k, co, ci)[::-1].transpose(1, 2, 0)
-    return np.ascontiguousarray(dw), gy.sum(axis=(0, 2)), dx
+    db = gy.sum(axis=(0, 2))
+
+    dx = None
+    if input_grad:
+        dx = _correlate(gf, p, w.transpose(1, 0, 2)[:, :, ::-1], len(gy), rf=rf,
+                        mask=xf if relu_input else None,
+                        into=xf if inplace else None)
+    return np.ascontiguousarray(dw), db, dx
 
 
 @dataclass
@@ -328,7 +343,9 @@ class ForwardCache:
     # z0, z1s and s_pres are the ReLU outputs whose masks backward() applies
     # (z > 0 equals relu(z) > 0).  Each is the input of the conv whose dx it
     # masks, so they share hs and rs rather than copy, and backward() reads
-    # them there.
+    # them there.  backward() consumes the cache: each dx overwrites the
+    # buffer of the activation that masked it, so after it hs, rs, z0, z1s
+    # and s_pres hold gradients, while x, logits and vprime keep their values.
     x: np.ndarray          # (B, K)
     z0: np.ndarray         # mask source of the input conv: hs[0]
     hs: list[np.ndarray]   # h0..hM
@@ -337,6 +354,7 @@ class ForwardCache:
     s_pres: list[np.ndarray]  # per block, mask source of the residual sum: hs[1:]
     logits: np.ndarray     # (B, K)
     vprime: np.ndarray     # post-charge potentials (B, K)
+    consumed: bool = False  # set by backward() before it writes the first dx
 
 
 def _as_batch(x) -> tuple[np.ndarray, bool]:
@@ -416,30 +434,43 @@ def backward(grad_spikes, cache: ForwardCache, p: SpikeNetParams,
     d(spike)/d(logit) at each tick uses the surrogate at the cached
     post-charge potential; the recurrent state path backpropagates the decay
     while the reset's spike is held constant.  Every gradient below the head
-    lives in a padded buffer laid out like the activations.
+    lives in the cache: each dx overwrites the activation that masks it,
+    once its conv's dw and db have read it, so a step allocates no gradient
+    buffer of its own.  The cache is consumed (see ForwardCache), and a
+    second call on it raises ValueError; a call rejected by the checks
+    before the first write leaves the cache as it was.
     """
     g, squeeze = _as_batch(grad_spikes)
+    if cache.consumed:
+        raise ValueError("this cache's activations already hold an earlier "
+                         "backward's gradients; run forward again")
     if g.shape != cache.logits.shape:
         raise ShapeError(f"grad shape {g.shape} != cached {cache.logits.shape}")
     if len(p.blocks) != len(cache.z1s) or p.w_in.shape[0] != cache.z0.shape[1]:
         raise ShapeError("params do not match the cached forward pass")
+    dtype = cache.logits.dtype  # each dx's, as conv1d_backward(inplace) needs
+    if (np.result_type(dtype, *p.tensors()) != dtype
+            or any(a.dtype != dtype for a in (*cache.hs, *cache.rs))):
+        raise ValueError("params or activations differ in dtype from the cached logits")
 
     # spike head: backprop through time over the membrane recursion
     sg = surrogate_grad(cache.vprime, cfg.lif, cfg.surrogate)
-    dlogits = _bptt(g * sg, cfg.lif.decay, cache.logits.dtype)
+    dlogits = _bptt(g * sg, cfg.lif.decay, dtype)
 
     # each dx leaves its conv through the ReLU that made the conv's input,
-    # so it is masked by that input; the inner conv's dx also adds the
-    # residual skip's gradient ds first
+    # so it is masked by that input, and written into its buffer; the inner
+    # conv's dx also adds the residual skip's gradient ds first
+    cache.consumed = True
     dw_head, db_head, ds = conv1d_backward(dlogits[:, None, :], cache.hs[-1],
-                                           p.w_head, relu_input=True)
+                                           p.w_head, relu_input=True, inplace=True)
 
     grad_blocks = []
     for i in range(len(p.blocks) - 1, -1, -1):
         blk = p.blocks[i]
-        dw2, db2, dr = conv1d_backward(ds, cache.rs[i], blk.w2, relu_input=True)
+        dw2, db2, dr = conv1d_backward(ds, cache.rs[i], blk.w2, relu_input=True,
+                                       inplace=True)
         dw1, db1, ds = conv1d_backward(dr, cache.hs[i], blk.w1, residual=ds,
-                                       relu_input=True)
+                                       relu_input=True, inplace=True)
         grad_blocks.append(BlockParams(dw1, db1, dw2, db2))
     grad_blocks.reverse()
 

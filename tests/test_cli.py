@@ -148,6 +148,58 @@ def test_an_output_named_as_the_run_cfg_exits_1_writing_nothing(tmp_path, capsys
     assert (out / "run.cfg").read_text() == "old"
 
 
+@pytest.mark.parametrize("victim", ["simulate", "infer", "checkpoint", "eval_a",
+                                    "eval_b", "hist", "run_cfg"])
+def test_an_output_naming_its_input_exits_1_leaving_the_input(tmp_path, capsys,
+                                                              monkeypatch, victim):
+    # the staged writer renamed its output, or main its run.cfg, over the
+    # input the run had read
+    clip = _gen_moving(tmp_path)
+    ev = tmp_path / "ev.evt1"
+    assert run("simulate", str(clip), "--out", str(ev)) == 0
+    ckpt = _fixture_checkpoint(tmp_path)
+    (tmp_path / "run.cfg").unlink()  # the one simulate wrote
+    monkeypatch.chdir(tmp_path)
+    # --out spells the input another way, so only their resolved paths agree
+    argv, target = {
+        "simulate": (["simulate", "clip.fseq", "--out", "./clip.fseq"], clip),
+        "infer": (["infer", "clip.fseq", "model.evsn", "--out", "./clip.fseq"], clip),
+        "checkpoint": (["infer", "clip.fseq", "model.evsn", "--out", "./model.evsn"],
+                       ckpt),
+        "eval_a": (["eval", "ev.evt1", "other.evt1", "--out", "./ev.evt1"], ev),
+        "eval_b": (["eval", "other.evt1", "ev.evt1", "--out", str(ev)], ev),
+        "hist": (["hist", "ev.evt1", "--out", "./ev.evt1"], ev),
+        "run_cfg": (["hist", "run.cfg", "--out", "h.csv"], tmp_path / "run.cfg"),
+    }[victim]
+    if victim == "run_cfg":  # an EVT1 file named as the run.cfg beside --out
+        (tmp_path / "run.cfg").write_bytes(ev.read_bytes())
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert run(*argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith("evsynth: run.cfg " if victim == "run_cfg"
+                               else "evsynth: --out "), lines
+    assert target.name in lines[0]
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_train_into_a_file_exits_1_before_the_dataset(tmp_path, capsys, monkeypatch):
+    # the first checkpoint failed only after make_dataset and a whole epoch
+    def no_dataset(*args, **kwargs):
+        raise AssertionError("make_dataset ran before --out was checked")
+
+    monkeypatch.setattr(cli.train_mod, "make_dataset", no_dataset)
+    runfile = tmp_path / "runfile"
+    runfile.write_bytes(b"keep")
+    for out in (runfile, runfile / "sub"):
+        assert run("train", "--out", str(out), "--epochs", "2") == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("evsynth: --out "), lines
+        assert "not a directory" in lines[0]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["runfile"]
+    assert runfile.read_bytes() == b"keep"
+
+
 @pytest.mark.parametrize("libc", ["unloadable", "without_mallopt"])
 def test_keep_freed_pages_is_quiet_without_mallopt(monkeypatch, libc):
     def cdll(name):

@@ -13,6 +13,7 @@ from evsynth.errors import ConfigError, FormatError, RangeError, ShapeError
 from evsynth.formats import read_evt1
 from evsynth.luminance import log_diff_sequence
 from evsynth.scenegen import SceneSpec, gen_scene
+from evsynth.spiking import surrogate_grad
 from evsynth.spikenet import (_BLOCK, _TILE, BlockParams, SpikeNetConfig,
                               SpikeNetParams, _conv_stack, backward, conv1d,
                               conv1d_backward, forward, infer_stream, init_params,
@@ -314,6 +315,44 @@ def test_backward_rejects_mismatched_cache():
     other = init_params(small_cfg(channels=6), 0)
     with pytest.raises(ShapeError):
         backward(np.zeros((2, 16)), cache, other, cfg)
+
+
+def test_backward_consumes_its_cache_once():
+    # each dx overwrites the activation that masked it; x, logits and
+    # vprime keep their values, and a second call on the cache raises
+    cfg = small_cfg()
+    params = noisy_params(cfg, 7, dtype=np.float32)
+    gen = np.random.default_rng(7)
+    x, g = (gen.normal(size=(3, 20)).astype(np.float32) for _ in range(2))
+    _, cache = forward(x, params, cfg, mode="soft")
+    acts = [a.copy() for a in (*cache.hs, *cache.rs)]
+    kept = [a.copy() for a in (cache.x, cache.logits, cache.vprime)]
+    # a call rejected before the first write leaves the cache as it was
+    with pytest.raises(ShapeError):
+        backward(g[:, :10], cache, params, cfg)
+    with pytest.raises(ShapeError):
+        backward(g, cache, init_params(small_cfg(channels=6), 0), cfg)
+    with pytest.raises(ValueError, match="dtype"):
+        backward(g, cache, SpikeNetParams.from_tensors(
+            [t.astype(np.float64) for t in params.tensors()]), cfg)
+    assert not cache.consumed
+    for got, want in zip((*cache.hs, *cache.rs), acts, strict=True):
+        assert got.tobytes() == want.tobytes()
+
+    grads, _ = backward(g, cache, params, cfg)
+    _, fresh = forward(x, params, cfg, mode="soft")
+    for got, want in zip(grads.tensors(), backward(g, fresh, params, cfg)[0].tensors()):
+        assert got.tobytes() == want.tobytes()
+    assert cache.consumed
+    for got, want in zip((cache.x, cache.logits, cache.vprime), kept, strict=True):
+        assert got.tobytes() == want.tobytes()
+    assert all(not np.array_equal(got, want)
+               for got, want in zip((*cache.hs, *cache.rs), acts, strict=True))
+    assert cache.z0 is cache.hs[0] and cache.z1s is cache.rs
+    assert all(a is b for a, b in zip(cache.s_pres, cache.hs[1:], strict=True))
+    with pytest.raises(ValueError, match="earlier backward") as info:
+        backward(g, cache, params, cfg)
+    assert "\n" not in str(info.value)
 
 
 def test_zero_upstream_grad_gives_zero_grads():
@@ -816,6 +855,98 @@ def test_conv_backward_folds_residual_and_relu_mask_into_dx(monkeypatch):
     assert np.array_equal(got[0], dw) and np.array_equal(got[1], db)
     assert got[2].tobytes() == ((dx + res) * (x > 0)).tobytes()
     assert (x == 0).any() and (x > 0).any()
+
+
+@pytest.mark.parametrize("tile", [None, _SMALL_TILE], ids=["default", "small"])
+def test_conv_backward_inplace_writes_dx_into_xs_buffer(monkeypatch, tile):
+    _set_tile(monkeypatch, tile)
+    gen = np.random.default_rng(16)
+    x = conv1d(gen.normal(size=(3, 4, 11)).astype(np.float32),
+               gen.normal(size=(4, 4, 3)).astype(np.float32),
+               np.zeros(4, np.float32), relu=True)
+    w = gen.normal(size=(5, 4, 3)).astype(np.float32)
+    gy = gen.normal(size=(3, 5, 11)).astype(np.float32)
+    res = gen.normal(size=(3, 4, 11)).astype(np.float32)
+    want = conv1d_backward(gy, x, w, residual=res, relu_input=True)
+    got = conv1d_backward(gy, x, w, residual=res, relu_input=True, inplace=True)
+    assert np.shares_memory(got[2], x) and got[2].base is x.base
+    for a, b in zip(got, want, strict=True):
+        assert a.tobytes() == b.tobytes()
+    assert x.tobytes() == want[2].tobytes()
+    # dx's pad rows are zero, so the next conv reads it in place
+    assert np.shares_memory(spikenet._padded(got[2], 1, exact=True)[0], x)
+
+
+def test_conv_backward_inplace_rejects_another_dtype_or_a_shared_buffer():
+    # checked before the dw pass, so a rejected call writes nothing
+    gen = np.random.default_rng(17)
+    x = conv1d(gen.normal(size=(3, 4, 11)).astype(np.float32),
+               gen.normal(size=(4, 4, 3)).astype(np.float32),
+               np.zeros(4, np.float32), relu=True)
+    w = gen.normal(size=(4, 4, 3)).astype(np.float32)
+    gy = gen.normal(size=(3, 4, 11)).astype(np.float32)
+    keep = x.copy()
+    for args, kw in [((gy, x, w.astype(np.float64)), {}),  # dx in float64
+                     ((gy.astype(np.float64), x, w), {}),
+                     ((x, x, w), {}),  # gy in x's buffer
+                     ((gy, x, w), {"residual": x})]:
+        with pytest.raises(ValueError, match="inplace"):
+            conv1d_backward(*args, **kw, relu_input=True, inplace=True)
+        assert x.tobytes() == keep.tobytes()
+    # no dx, nothing written: inplace is moot
+    conv1d_backward(x, x, w, input_grad=False, inplace=True)
+    assert x.tobytes() == keep.tobytes()
+
+
+def _out_of_place_backward(g, cache, p, cfg, input_grad):
+    """backward()'s chain with each dx a new array: (param grads, input
+    grad, each dx in the order of the activations it replaces, hs + rs)."""
+    sg = surrogate_grad(cache.vprime, cfg.lif, cfg.surrogate)
+    dlogits = spikenet._bptt(g * sg, cfg.lif.decay, cache.logits.dtype)
+    dw_head, db_head, ds = conv1d_backward(dlogits[:, None, :], cache.hs[-1],
+                                           p.w_head, relu_input=True)
+    dhs, drs, blocks = [ds], [], []
+    for i in range(len(p.blocks) - 1, -1, -1):
+        blk = p.blocks[i]
+        dw2, db2, dr = conv1d_backward(ds, cache.rs[i], blk.w2, relu_input=True)
+        dw1, db1, ds = conv1d_backward(dr, cache.hs[i], blk.w1, residual=ds,
+                                       relu_input=True)
+        blocks.insert(0, BlockParams(dw1, db1, dw2, db2))
+        dhs.insert(0, ds)
+        drs.insert(0, dr)
+    dw_in, db_in, dx = conv1d_backward(ds, cache.x[:, None, :], p.w_in,
+                                       input_grad=input_grad)
+    grads = SpikeNetParams(dw_in, db_in, blocks, dw_head, db_head)
+    return grads, None if dx is None else dx[:, 0], dhs + drs
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("input_grad", [True, False], ids=["dx", "no_dx"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_backward_in_place_equals_the_out_of_place_chain(monkeypatch, dtype,
+                                                          input_grad, threads):
+    # 14 tiles of _THREAD_TILE rows, the last ragged, split on 2 threads
+    monkeypatch.setattr(spikenet, "_TILE", _THREAD_TILE)
+    fake_blas(monkeypatch, threads)
+    cfg = SpikeNetConfig(channels=8, kernel=7, depth=2)
+    params = noisy_params(cfg, 4, dtype=dtype)
+    gen = np.random.default_rng(19)
+    x = gen.normal(0, 0.8, (15, 50)).astype(dtype)
+    g = gen.normal(0, 1, (15, 50)).astype(dtype)
+    rows = 15 * (50 + 6)
+    assert rows % _THREAD_TILE and rows // _THREAD_TILE >= 2 * spikenet._TILES_PER_THREAD
+    _, ref = forward(x, params, cfg, mode="soft")
+    want, want_dx, want_acts = _out_of_place_backward(g, ref, params, cfg, input_grad)
+    _, cache = forward(x, params, cfg, mode="soft")
+    grads, dx = backward(g, cache, params, cfg, input_grad=input_grad)
+    for got, w in zip(grads.tensors(), want.tensors(), strict=True):
+        assert got.dtype == dtype and got.tobytes() == w.tobytes()
+    assert (dx is None) == (want_dx is None)
+    if input_grad:
+        assert dx.tobytes() == want_dx.tobytes()
+    # each dx sits in the buffer of the activation that masked it
+    for got, w in zip((*cache.hs, *cache.rs), want_acts, strict=True):
+        assert got.tobytes() == w.tobytes()
 
 
 @pytest.mark.parametrize("chunk", [0, -1, -256])
