@@ -6,7 +6,8 @@ config type (``DEFAULTS``), and a command builds that type from the section's
 resolved values by the same rule (``_fields``, ``_build``).  After a command
 succeeds, ``main`` writes the fully resolved configuration as ``run.cfg`` next
 to its output.  Exit codes: 0 success, 1 usage/config error, 2 data/format
-error, 3 numeric divergence.
+error, 3 numeric divergence, 128 + the signal's number for a run that a
+SIGHUP, SIGINT or SIGTERM stopped (129, 130, 143).
 """
 
 from __future__ import annotations
@@ -14,7 +15,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
+import os
+import signal
 import sys
+import threading
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -332,12 +336,46 @@ def _keep_freed_pages() -> None:
     mallopt(-1, -1)  # M_TRIM_THRESHOLD: never trim
 
 
+class _Interrupted(BaseException):
+    """A terminating signal, its number the one argument, raised in the main
+    thread so that every staged file is removed as the stack unwinds, as
+    for a KeyboardInterrupt."""
+
+
+_SIGNALS = [getattr(signal, name) for name in ("SIGINT", "SIGTERM", "SIGHUP")
+            if hasattr(signal, name)]
+
+
+def _interrupt(signum, frame):
+    # a module's initialisation may swallow an exception raised while it
+    # loads (numpy.random's Cython modules do, on first use in gen and
+    # train), so a signal that lands in an import is sent again 10 ms later
+    while frame is not None:
+        if "importlib" in frame.f_code.co_filename:
+            threading.Timer(0.01, os.kill, (os.getpid(), signum)).start()
+            return
+        frame = frame.f_back
+    raise _Interrupted(signum)
+
+
 def run() -> int:
     """The process entry of ``python -m evsynth.cli`` and the ``evsynth``
-    console script: main() under _keep_freed_pages.  Library callers of
-    main() keep their process's allocator policy."""
+    console script: main() under _keep_freed_pages, with SIGINT, SIGTERM and
+    SIGHUP ending the command as an exception, so the run leaves no file
+    behind, prints one line and exits 128 + the signal's number; the
+    handlers before it are restored when it returns.  Library callers of
+    main() keep their process's allocator policy and signal handlers."""
     _keep_freed_pages()
-    return main()
+    before = {sig: signal.signal(sig, _interrupt) for sig in _SIGNALS}
+    try:
+        return main()
+    except _Interrupted as exc:
+        signum, = exc.args
+        print(f"evsynth: interrupted by {signal.Signals(signum).name}", file=sys.stderr)
+        return 128 + signum
+    finally:
+        for sig, handler in before.items():
+            signal.signal(sig, handler)
 
 
 if __name__ == "__main__":

@@ -135,7 +135,9 @@ class _PixelSeq:
         return self.data.shape[0]
 
     def pixel_sequences(self) -> np.ndarray:
-        """Contiguous ``(H*W, K)`` copy with pixels in row-major (y, x) order."""
+        """Contiguous ``(H*W, K)`` rows with pixels in row-major (y, x) order:
+        a view when data is the transpose of such rows (make_dataset's),
+        else a copy."""
         return np.ascontiguousarray(self.data.transpose(1, 2, 0).reshape(-1, self.k))
 
 

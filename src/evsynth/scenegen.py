@@ -146,20 +146,25 @@ def _gray_frames(spec: SceneSpec, ks: np.ndarray) -> np.ndarray:
     return out
 
 
+def render_range(spec: SceneSpec, a: int, b: int) -> np.ndarray:
+    """The scene's frames a..b-1, rendered analytically, as float32 RGB
+    (b-a, H, W, 3); each value depends on spec (incl. seed) and its frame
+    only, so any split of a clip into ranges renders the same bytes."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gray = _gray_frames(spec, np.arange(a, b, dtype=np.float64))
+    if not np.isfinite(gray).all():
+        raise ConfigError("scene motion overflows; lower velocity or spatial_freq")
+    frames = np.empty((b - a, spec.height, spec.width, 3), np.float32)
+    frames[:] = gray[..., None]
+    return frames
+
+
 def render_blocks(spec: SceneSpec):
-    """Render the scene analytically; deterministic in spec (incl. seed).
-    Yields (a, frames a..b-1) as float32 RGB (b-a, H, W, 3) in the
-    core.frame_blocks of three values per pixel, the rule of
-    add_render_noise's blocks too, so each stage holds one block."""
-    n, h, w = spec.n_frames, spec.height, spec.width
-    for a, b in frame_blocks(n, 3 * h * w):
-        with np.errstate(over="ignore", invalid="ignore"):
-            gray = _gray_frames(spec, np.arange(a, b, dtype=np.float64))
-        if not np.isfinite(gray).all():
-            raise ConfigError("scene motion overflows; lower velocity or spatial_freq")
-        frames = np.empty((b - a, h, w, 3), np.float32)
-        frames[:] = gray[..., None]
-        yield a, frames
+    """Yield (a, render_range(spec, a, b)) in the core.frame_blocks of three
+    values per pixel, the rule of add_render_noise's blocks too, so each
+    stage holds one block."""
+    for a, b in frame_blocks(spec.n_frames, 3 * spec.height * spec.width):
+        yield a, render_range(spec, a, b)
 
 
 def gen_scene(spec: SceneSpec) -> FrameSeq:

@@ -557,7 +557,8 @@ def _run_threads(n_threads: int, n_items: int, work) -> None:
     threads.  Each helper runs in a copy of the caller's context, so
     numpy's error state holds in it as in the caller.  The first error is
     raised in the caller with its own type, and no helper outlives the
-    call.  slot lets an item use its thread's own buffers.
+    call, even when a signal's exception reaches the caller while it waits
+    for them.  slot lets an item use its thread's own buffers.
     """
     if n_threads == 1:
         for i in range(n_items):
@@ -586,9 +587,13 @@ def _run_threads(n_threads: int, n_items: int, work) -> None:
                 helper.start()
                 helpers.append(helper)
             run(0)
-        finally:
             for helper in helpers:
                 helper.join()
+        except BaseException as exc:  # a signal in the caller, even in join
+            errors.append(exc)  # the helpers take no further item
+            for helper in helpers:
+                helper.join()
+            raise
     if errors:
         raise errors[0]
 

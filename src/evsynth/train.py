@@ -9,6 +9,7 @@ surrogate; hard spikes are used for holdout evaluation.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from . import formats, refsim, scenegen, spikenet
 from .core import LogDiffSeq, SpikeTrain
 from .errors import ConfigError, DivergenceError
 from .loss import LossConfig, loss_grad, total_loss
-from .luminance import LuminanceConfig, log_diff_sequence
+from .luminance import LuminanceConfig, log_diff_blocks
 from .refsim import RefSimConfig
 from .scenegen import NoiseModel, SceneSpec
 from .spikenet import SpikeNetConfig, SpikeNetParams
@@ -63,13 +64,45 @@ class DatasetPair:
 
 def make_dataset(scenes: list[SceneSpec], noise: NoiseModel, ref: RefSimConfig,
                  lum: LuminanceConfig = LuminanceConfig()) -> list[DatasetPair]:
-    """Clean frames -> simulator targets; noisy frames -> inputs."""
-    pairs = []
+    """Clean frames -> simulator targets; noisy frames -> inputs.
+
+    Every pixel of every scene is one row of a float32 input array and of an
+    int8 target array, (pixels, K), filled block by block from the streaming
+    paths (render_range, noise_block, log_diff_blocks, simulate_blocks); each
+    pair holds (K, H, W) views of its scene's rows, which train reads in
+    place.  One K for all rows: scenes with different frame counts raise
+    ConfigError before anything is rendered.
+    """
+    if not scenes:
+        return []
+    counts = sorted({spec.n_frames for spec in scenes})
+    if len(counts) > 1:
+        raise ConfigError(f"scenes have different frame counts {counts}; "
+                          "a dataset needs one")
+    k = counts[0] - 1
+    n_pix = sum(spec.height * spec.width for spec in scenes)
+    xs = np.empty((n_pix, k), np.float32)
+    es = np.empty((n_pix, k), np.int8)
+    pairs, r = [], 0
     for spec in scenes:
-        clean = scenegen.gen_scene(spec)
-        noisy = scenegen.add_render_noise(clean, noise)
-        target = refsim.simulate(log_diff_sequence(clean, lum), ref)
-        pairs.append(DatasetPair(x=log_diff_sequence(noisy, lum), e=target))
+        n, h, w = spec.n_frames, spec.height, spec.width
+        x_rows = xs[r:r + h * w].reshape(h, w, k)
+        e_rows = es[r:r + h * w].reshape(h, w, k)
+        # the two streams run in lockstep, each asking for the frame before
+        # a block and then the block, so a cache of two ranges renders each once
+        clean = functools.lru_cache(maxsize=2)(functools.partial(scenegen.render_range, spec))
+        noisy = log_diff_blocks(lambda a, b: scenegen.noise_block(clean(a, b), a, noise),
+                                n, h, w, lum)
+        spikes = refsim.simulate_blocks(log_diff_blocks(clean, n, h, w, lum),
+                                        h, w, spec.fps, ref)
+        t = 0
+        for x, (e, _) in zip(noisy, spikes):
+            x_rows[..., t:t + len(x)] = x.transpose(1, 2, 0)
+            e_rows[..., t:t + len(x)] = e.transpose(1, 2, 0)
+            t += len(x)
+        pairs.append(DatasetPair(LogDiffSeq(w, h, spec.fps, x_rows.transpose(2, 0, 1)),
+                                 SpikeTrain(w, h, spec.fps, e_rows.transpose(2, 0, 1))))
+        r += h * w
     return pairs
 
 
@@ -112,8 +145,21 @@ def clip_global_norm(grads: list[np.ndarray], max_norm: float) -> tuple[list[np.
 
 
 def _stack_pixels(data: list[DatasetPair]) -> tuple[np.ndarray, np.ndarray]:
-    return (np.concatenate([p.x.pixel_sequences() for p in data]),
-            np.concatenate([p.e.pixel_sequences() for p in data]))
+    return (_stacked([p.x.pixel_sequences() for p in data]),
+            _stacked([p.e.pixel_sequences() for p in data]))
+
+
+def _stacked(rows: list[np.ndarray]) -> np.ndarray:
+    """rows concatenated: their shared base when they are its consecutive
+    rows from the first to the last (make_dataset's arrays), else a copy."""
+    base, n = rows[0].base, 0
+    for r in rows:
+        if (base is None or r.base is not base or not base.flags.c_contiguous
+                or (r.dtype, r.shape[1:]) != (base.dtype, base.shape[1:])
+                or r.ctypes.data != base.ctypes.data + n * base.strides[0]):
+            return np.concatenate(rows)
+        n += len(r)
+    return base if n == len(base) else np.concatenate(rows)
 
 
 def holdout_split(n_pix: int, t_cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -4,9 +4,11 @@ import hashlib
 import io
 import os
 import resource
+import signal
 import struct
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -226,15 +228,20 @@ def test_keep_freed_pages_fixes_both_malloc_thresholds(monkeypatch):
     assert sorted(calls) == [(-3, 32 * 2**20), (-1, -1)]
 
 
+_HANDLED = (signal.SIGINT, signal.SIGTERM, signal.SIGHUP)
+
+
 def test_main_leaves_the_allocator_alone(tmp_path, monkeypatch):
     # library callers of main, tests and in-process benchmarks among them,
-    # keep their process's malloc policy
+    # keep their process's malloc policy and signal handlers
     calls = []
     monkeypatch.setattr(cli, "_keep_freed_pages", lambda: calls.append(1))
+    handlers = [signal.getsignal(sig) for sig in _HANDLED]
     assert run("gen", "--out", str(tmp_path / "a.fseq"), "--set", "scene.width=8",
                "--set", "scene.height=8", "--set", "scene.duration=0.01") == 0
     assert run("gen") == 1
     assert calls == []
+    assert [signal.getsignal(sig) for sig in _HANDLED] == handlers
 
 
 def test_run_keeps_freed_pages_once_before_main(monkeypatch):
@@ -243,6 +250,81 @@ def test_run_keeps_freed_pages_once_before_main(monkeypatch):
     monkeypatch.setattr(cli, "main", lambda argv=None: calls.append("main") or 3)
     assert cli.run() == 3
     assert calls == ["keep", "main"]
+
+
+@pytest.fixture
+def hup_fails():
+    """A SIGHUP that reaches the test process's own handler fails the test
+    rather than ending the process."""
+    def fail(signum, frame):
+        pytest.fail("SIGHUP reached the test's own handler")
+    before = signal.signal(signal.SIGHUP, fail)
+    yield
+    signal.signal(signal.SIGHUP, before)
+
+
+def test_run_ends_a_signalled_command_with_one_line(monkeypatch, capsys, hup_fails):
+    # main raises the signal itself; run's handler turns it into 129 and
+    # one line, then puts the handlers before it back
+    monkeypatch.setattr(cli, "_keep_freed_pages", lambda: None)
+    before = [signal.getsignal(sig) for sig in _HANDLED]
+
+    def hangup(argv=None):
+        signal.raise_signal(signal.SIGHUP)
+        raise AssertionError("the signal did not stop main")
+    monkeypatch.setattr(cli, "main", hangup)
+    assert cli.run() == 129
+    assert capsys.readouterr().err.splitlines() == ["evsynth: interrupted by SIGHUP"]
+    assert [signal.getsignal(sig) for sig in _HANDLED] == before
+
+
+def test_run_raises_a_signal_that_lands_in_an_import_after_it(tmp_path, monkeypatch,
+                                                             capsys, hup_fails):
+    # a module's initialisation may swallow what the handler raises, so a
+    # signal during an import is sent again once the import is done
+    monkeypatch.setattr(cli, "_keep_freed_pages", lambda: None)
+    (tmp_path / "signalled_module.py").write_text(
+        "import signal\nsignal.raise_signal(signal.SIGHUP)\nLOADED = True\n")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    loaded = []
+
+    def imports(argv=None):
+        import signalled_module
+        loaded.append(signalled_module.LOADED)
+        time.sleep(60)
+        raise AssertionError("the signal was lost")
+    monkeypatch.setattr(cli, "main", imports)
+    monkeypatch.delitem(sys.modules, "signalled_module", raising=False)
+    assert cli.run() == 129
+    assert loaded == [True]
+    assert capsys.readouterr().err.splitlines() == ["evsynth: interrupted by SIGHUP"]
+
+
+@pytest.mark.parametrize("sig", [signal.SIGINT, signal.SIGTERM],
+                         ids=["SIGINT", "SIGTERM"])
+def test_interrupted_gen_leaves_nothing_and_prints_one_line(tmp_path, sig):
+    # a 64x64 clip of 20 s runs for many seconds after its first staged
+    # file appears, which is when the signal is sent
+    out = tmp_path / "out"
+    out.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(Path(evsynth.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "evsynth.cli", "gen", "--out", str(out / "clean.fseq"),
+         "--noisy-out", str(out / "noisy.fseq"), "--set", "scene.width=64",
+         "--set", "scene.height=64", "--set", "scene.duration=20"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+    try:
+        while not any(p.suffix == ".tmp" for p in out.iterdir()):
+            assert proc.poll() is None, proc.stderr.read()
+            time.sleep(0.01)
+        proc.send_signal(sig)
+        _, err = proc.communicate(timeout=300)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 128 + sig
+    assert err.splitlines() == [f"evsynth: interrupted by {sig.name}"]
+    assert list(out.iterdir()) == []
 
 
 def test_static_scene_simulates_to_zero_events(tmp_path):

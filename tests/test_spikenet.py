@@ -2,6 +2,7 @@ import struct
 import sys
 import threading
 import time
+import types
 import warnings
 
 import numpy as np
@@ -654,6 +655,58 @@ def test_run_threads_helpers_keep_the_callers_error_state(monkeypatch):
         spikenet._run_threads(2, 4, work)
     assert {slot for slot, _ in seen} == {0, 1}
     assert [over for _, over in seen] == ["raise"] * 4
+
+
+def test_run_threads_interrupt_in_the_callers_item_leaves_no_helper(monkeypatch):
+    # the caller's item raises once the helper is in its first item, which
+    # ends 0.2 s later; the helper takes no other of the 50 items
+    fake_blas(monkeypatch, 2)
+    helper_began = threading.Event()
+    helper_items = []
+
+    def work(slot, i):
+        if slot == 0:
+            helper_began.wait(30)
+            raise KeyboardInterrupt
+        helper_began.set()
+        time.sleep(0.2)
+        helper_items.append(i)
+    active = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        spikenet._run_threads(2, 50, work)
+    assert threading.active_count() == active
+    assert len(helper_items) == 1
+
+
+def test_run_threads_interrupt_in_join_leaves_no_helper(monkeypatch):
+    # a signal's exception can reach the caller while it waits in join: here
+    # the first join raises, with the helper still in its item for 0.2 s
+    fake_blas(monkeypatch, 2)
+    helper_began, interrupted = threading.Event(), threading.Event()
+    helper_items = []
+
+    class Thread(threading.Thread):
+        def join(self, timeout=None):
+            if not interrupted.is_set():
+                interrupted.set()
+                raise KeyboardInterrupt
+            super().join(timeout)
+    monkeypatch.setattr(spikenet, "threading",
+                        types.SimpleNamespace(Thread=Thread, Lock=threading.Lock))
+
+    def work(slot, i):
+        if slot == 0:
+            helper_began.wait(30)
+            return
+        helper_began.set()
+        interrupted.wait(30)
+        time.sleep(0.2)
+        helper_items.append(i)
+    active = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        spikenet._run_threads(2, 3, work)
+    assert threading.active_count() == active
+    assert len(helper_items) == 1
 
 
 def test_infer_output_independent_of_blas_threads(tmp_path):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from evsynth import core, refsim, scenegen, train as train_mod
 from evsynth.core import LogDiffSeq, SpikeTrain
 from evsynth.errors import ConfigError, DivergenceError
+from evsynth.luminance import log_diff_sequence
 from evsynth.refsim import RefSimConfig
-from evsynth.scenegen import NoiseModel, SceneSpec, bar_edges
+from evsynth.scenegen import KINDS, NoiseModel, SceneSpec, bar_edges
 from evsynth.loss import LossConfig, total_loss
 from evsynth.spikenet import _BLOCK, SpikeNetConfig, forward, init_params
 from evsynth.train import (AdamState, DatasetPair, TrainConfig,
@@ -39,6 +41,62 @@ def test_make_dataset_deterministic():
     for pa, pb in zip(a, b):
         assert np.array_equal(pa.x.data, pb.x.data)
         assert np.array_equal(pa.e.data, pb.e.data)
+
+
+# 12x9 pixels: render blocks of 3 values per pixel and lin-log blocks of 4
+# split a 60-frame clip into 6- and 4-frame blocks at 2000 values
+@pytest.mark.parametrize("block", [None, 2000], ids=["default", "small"])
+@pytest.mark.parametrize("gain", [0.0, NoiseModel().gain], ids=["clean", "noisy"])
+def test_make_dataset_equals_the_whole_clip_path(monkeypatch, block, gain):
+    if block is not None:
+        monkeypatch.setattr(core, "_BLOCK_VALUES", block)
+    scenes = [small_scene(kind, width=12, height=9, duration=0.06, seed=i)
+              for i, kind in enumerate(KINDS)]
+    noise = NoiseModel(gain=gain, seed=3)
+    ref = RefSimConfig(init_mode="uniform", leak_rate=20.0, shot_rate=50.0, seed=5)
+    pairs = make_dataset(scenes, noise, ref)
+    xs, es = pairs[0].x.data.base, pairs[0].e.data.base
+    assert xs.shape == es.shape == (len(KINDS) * 9 * 12, 59)
+    for spec, pair in zip(scenes, pairs):
+        clean = scenegen.gen_scene(spec)
+        noisy = scenegen.add_render_noise(clean, noise)
+        assert np.array_equal(pair.x.data, log_diff_sequence(noisy).data)
+        assert np.array_equal(pair.e.data,
+                              refsim.simulate(log_diff_sequence(clean), ref).data)
+        assert pair.x.data.base is xs and pair.e.data.base is es
+        assert pair.x.pixel_sequences().base is xs
+        assert pair.e.pixel_sequences().base is es
+    assert np.abs(es).sum() > 0  # the comparison is not vacuous
+    stacked = train_mod._stack_pixels(pairs)
+    assert stacked[0] is xs and stacked[1] is es
+
+
+def test_make_dataset_rejects_scenes_with_different_frame_counts(monkeypatch):
+    def no_render(*args):
+        raise AssertionError("a scene was rendered before the frame counts were checked")
+    monkeypatch.setattr(scenegen, "render_range", no_render)
+    scenes = [small_scene(), small_scene("grating", duration=0.05)]
+    with pytest.raises(ConfigError, match=r"different frame counts \[50, 80\]"):
+        make_dataset(scenes, NoiseModel(), QUIET)
+
+
+def _desk_scenes(side, duration):
+    """train's three scenes, as the CLI builds them, at side x side."""
+    return [small_scene(kind, width=side, height=side, duration=duration,
+                        velocity=200.0, seed=i)
+            for i, kind in enumerate(("moving_edge", "grating", "flashing_light"))]
+
+
+@pytest.mark.parametrize("side", [32, 64])
+def test_make_dataset_peak_is_its_data_plus_blocks(side):
+    # 5 B per pixel-tick (the float32 input and the int8 target) and a few
+    # float64 blocks of temporaries; rendering each scene as a whole clip
+    # peaked at 35.7 MiB (32x32) and 104.0 MiB (64x64)
+    pairs, peak = traced_peak(make_dataset, _desk_scenes(side, 0.513),
+                              NoiseModel(seed=1), RefSimConfig(seed=2))
+    pixel_ticks = 3 * side * side * 512
+    assert sum(p.x.data.size for p in pairs) == pixel_ticks
+    assert peak < 5 * pixel_ticks + 8 * core._BLOCK_VALUES * 8
 
 
 def test_moving_edge_events_near_analytic_trajectory():
@@ -163,7 +221,7 @@ def test_holdout_pixels_never_contribute_gradients():
     corrupted = []
     offset = 0
     for p in pairs:
-        x = p.x.pixel_sequences()
+        x = p.x.pixel_sequences().copy()
         e = p.e.pixel_sequences().copy()
         local = hold[(hold >= offset) & (hold < offset + x.shape[0])] - offset
         x[local] += 5.0
@@ -210,6 +268,15 @@ def test_holdout_peak_is_one_block_of_convs(monkeypatch):
     assert peak < 40 * 2**20
 
 
+def _step_cache_bytes(x, cfg, batch):
+    """The bytes of a soft forward's cache on x's first batch sequences."""
+    _, cache = forward(x[:batch], init_params(cfg, 0), cfg, mode="soft")
+    owners = {id(b): b for b in (a if a.base is None else a.base for a in
+                                 [*cache.hs, *cache.rs, cache.logits, cache.vprime])}
+    assert len(owners) == 2 * cfg.depth + 3
+    return sum(b.nbytes for b in owners.values())
+
+
 def test_a_training_step_holds_one_steps_arrays(monkeypatch):
     # 4 steps of 64 sequences of 256 ticks.  A step's forward cache is 7
     # padded conv buffers (2.1 MB each) and the logits; backward writes each
@@ -226,16 +293,26 @@ def test_a_training_step_holds_one_steps_arrays(monkeypatch):
         SpikeTrain(w, h, 1000.0, gen.integers(-1, 2, (k, h, w)).astype(np.int8)))
     tcfg = TrainConfig(epochs=1, batch=64, seed=0, holdout=0.0)
     x = pair.x.pixel_sequences()
-    _, cache = forward(x[:tcfg.batch], init_params(cfg, 0), cfg, mode="soft")
-    owners = {id(b): b for b in (a if a.base is None else a.base for a in
-                                 [*cache.hs, *cache.rs, cache.logits, cache.vprime])}
-    cache_bytes = sum(b.nbytes for b in owners.values())
-    assert len(owners) == 2 * cfg.depth + 3
+    cache_bytes = _step_cache_bytes(x, cfg, tcfg.batch)
     data_bytes = x.nbytes + pair.e.pixel_sequences().nbytes
-    del cache, owners
     (_, history), peak = traced_peak(train, [pair], cfg, tcfg)
     assert np.isfinite(history[0][1])
     assert peak < data_bytes + 1.3 * cache_bytes
+
+
+def test_training_on_make_dataset_holds_no_second_copy_of_it(monkeypatch):
+    # 48 steps of 64 sequences of 128 ticks: train reads make_dataset's
+    # arrays in place, so its peak is one step's (1.24 caches); with a
+    # concatenated copy of the 1.9 MiB of data it was 1.49 caches
+    fake_blas(monkeypatch, 2)
+    cfg = SpikeNetConfig()
+    pairs = make_dataset(_desk_scenes(32, 0.129), NoiseModel(seed=1),
+                         RefSimConfig(seed=2))
+    tcfg = TrainConfig(epochs=1, batch=64, seed=0, holdout=0.0)
+    cache_bytes = _step_cache_bytes(pairs[0].x.pixel_sequences(), cfg, tcfg.batch)
+    (_, history), peak = traced_peak(train, pairs, cfg, tcfg)
+    assert np.isfinite(history[0][1])
+    assert peak < 1.3 * cache_bytes
 
 
 def test_divergence_raises():
